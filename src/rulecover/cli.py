@@ -40,7 +40,14 @@ from .modelio import (
     render_rules,
     save_model,
 )
-from .objective import ConfigError, Hyperparams, PRESETS, metrics, preset
+from .objective import (
+    ConfigError,
+    Hyperparams,
+    PRESETS,
+    metrics,
+    preset,
+    ruleset_from_features,
+)
 
 DEFAULTS = {"beta0": 1.0, "beta1": 1.0, "beta2": 0.1, "lam": 1.0, "k": 16, "m": 16}
 
@@ -176,12 +183,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if args.labels_column and args.labels_column not in table.names:
         raise SchemaError(f"table lacks column {args.labels_column!r}")
     data = apply_descriptors(table, model.descriptors, args.labels_column)
-    covered = 0
-    for feats in model.rule_features:
-        cov = data.universe
-        for j in feats:
-            cov &= data.columns[j]
-        covered |= cov
+    S = ruleset_from_features(model.rule_features, data)
+    covered = S.covered
     out = _open_out(args.out)
     try:
         writer = csv.writer(out)
@@ -192,9 +195,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         if out is not sys.stdout:
             out.close()
     if args.labels_column:
-        correct = (covered & data.labels).bit_count()
-        correct += (data.universe & ~covered & ~data.labels).bit_count()
-        print(f"accuracy={correct / data.n:.4f}", file=sys.stderr)
+        print(f"accuracy={metrics(S, data).accuracy:.4f}", file=sys.stderr)
     return 0
 
 

@@ -178,14 +178,24 @@ class FeatureDescriptor:
 
 
 def _parse_number(cell: str, column: str) -> float:
+    """The cell's value. NaN is rejected because it fails both `<=` and
+    `>` tests, while binarize builds `>` as the complement of `<=`, so
+    training and serving would encode it differently; infinities are
+    rejected because a threshold must be finite."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(f"{column}: non-numeric value {cell!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{column}: non-finite value {cell!r}")
+    return value
 
 
 def _format_number(x: float) -> str:
-    return f"{x:g}"
+    """Short form of a threshold for feature names; repr when the short
+    form would not round-trip, so distinct thresholds get distinct names."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def decile_cuts(values: Sequence[float]) -> list[float]:
@@ -203,11 +213,7 @@ def decile_cuts(values: Sequence[float]) -> list[float]:
 
 @dataclass
 class BinaryDataset:
-    """Binarized samples: one bitset per feature, bit i = sample i.
-
-    exclusions[j] is the bitwise complement of columns[j] within the
-    n-sample universe: the samples feature j rules out.
-    """
+    """Binarized samples: one bitset per feature, bit i = sample i."""
 
     n: int
     columns: list[int]
@@ -215,7 +221,6 @@ class BinaryDataset:
     descriptors: list[FeatureDescriptor]
 
     universe: int = field(init=False)
-    exclusions: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.descriptors):
@@ -225,7 +230,6 @@ class BinaryDataset:
             raise DataError("label bits outside sample range")
         if any(c & ~self.universe for c in self.columns):
             raise DataError("column bits outside sample range")
-        self.exclusions = [self.universe ^ c for c in self.columns]
 
     @property
     def d(self) -> int:

@@ -33,10 +33,13 @@ from .objective import (
     Rule,
     RuleSet,
     profit,
+    ruleset_from_features,
 )
 from .subproblem import SubproblemInstance, build_instance, local_combinatorial_search
 
 SUBPROBLEM_MODES = ("local", "bnb", "bnb-timed")
+# Widest instance the untimed 'bnb' mode accepts: 2^24 subsets.
+BNB_EXACT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class TrainConfig:
     refine: bool = True
     seed: int = 0
     ds_restarts: int = 1
-    bnb_exact_cap: int = 24
 
     def __post_init__(self) -> None:
         if self.subproblem not in SUBPROBLEM_MODES:
@@ -126,9 +128,9 @@ def _solve_rule(
             inst, m=cfg.hyperparams.active_size, ds_restarts=cfg.ds_restarts, rng=rng
         )
         return feats, inst.value(feats), None
-    if cfg.subproblem == "bnb" and inst.d > cfg.bnb_exact_cap:
+    if cfg.subproblem == "bnb" and inst.d > BNB_EXACT_CAP:
         raise ConfigError(
-            f"subproblem mode 'bnb' allows at most {cfg.bnb_exact_cap} features, "
+            f"subproblem mode 'bnb' allows at most {BNB_EXACT_CAP} features, "
             f"got {inst.d}; use 'bnb-timed' or 'local'"
         )
     limit = cfg.time_limit if cfg.subproblem == "bnb-timed" else None
@@ -138,6 +140,34 @@ def _solve_rule(
 
 def _alpha(k: int, K: int) -> float:
     return (1 - 1 / K) ** (K - k)
+
+
+def _grow(
+    S: RuleSet,
+    data: BinaryDataset,
+    cfg: TrainConfig,
+    rng: random.Random,
+    phase: str,
+    step: int,
+    alpha: float,
+) -> IterationRecord:
+    """Solve for the next rule at weight alpha and add it to S (in place)
+    when its value is positive and it is not already in S."""
+    inst = build_instance(S, data, cfg.hyperparams, alpha)
+    feats, v, proven = _solve_rule(inst, cfg, rng)
+    inserted = v > TOL and feats not in S.feature_sets()
+    if inserted:
+        S.add(Rule.build(feats, data))
+    return IterationRecord(
+        phase=phase,
+        step=step,
+        alpha=alpha,
+        rule=feats if inserted else None,
+        rule_value=v,
+        inserted=inserted,
+        profit_after=profit(S, data, cfg.hyperparams),
+        proven_optimal=proven,
+    )
 
 
 def distorted_greedy(
@@ -150,23 +180,8 @@ def distorted_greedy(
     report = TrainReport()
     t0 = time.monotonic()
     for k in range(1, h.max_rules + 1):
-        alpha = _alpha(k, h.max_rules)
-        inst = build_instance(S, data, h, alpha)
-        feats, v, proven = _solve_rule(inst, cfg, rng)
-        inserted = v > TOL and feats not in S.feature_sets()
-        if inserted:
-            S.add(Rule.build(feats, data))
         report.iterations.append(
-            IterationRecord(
-                phase="greedy",
-                step=k,
-                alpha=alpha,
-                rule=feats if inserted else None,
-                rule_value=v,
-                inserted=inserted,
-                profit_after=profit(S, data, h),
-                proven_optimal=proven,
-            )
+            _grow(S, data, cfg, rng, "greedy", k, _alpha(k, h.max_rules))
         )
     report.greedy_seconds = time.monotonic() - t0
     report.greedy_profit = profit(S, data, h)
@@ -198,25 +213,10 @@ def refine(
 
         # Grow: fill remaining rule budget at full coverage weight.
         for step in range(len(S), h.max_rules):
-            inst = build_instance(S, data, h, 1.0)
-            feats, v, proven = _solve_rule(inst, cfg, rng)
-            inserted = v > TOL and feats not in S.feature_sets()
-            if inserted:
-                S.add(Rule.build(feats, data))
+            record = _grow(S, data, cfg, rng, "refine-grow", step + 1, 1.0)
             if report is not None:
-                report.iterations.append(
-                    IterationRecord(
-                        phase="refine-grow",
-                        step=step + 1,
-                        alpha=1.0,
-                        rule=feats if inserted else None,
-                        rule_value=v,
-                        inserted=inserted,
-                        profit_after=profit(S, data, h),
-                        proven_optimal=proven,
-                    )
-                )
-            if not inserted:
+                report.iterations.append(record)
+            if not record.inserted:
                 # Deterministic solver, unchanged S: later slots would
                 # re-derive the same nonpositive rule.
                 break
@@ -284,10 +284,5 @@ def predict(S: RuleSet | Sequence[Sequence[int]], bits: Sequence[int]) -> int:
 def predict_dataset(S: RuleSet | Sequence[Sequence[int]], data: BinaryDataset) -> list[int]:
     """Predictions for every row of a binarized dataset."""
     feature_sets = S.feature_sets() if isinstance(S, RuleSet) else S
-    covered = 0
-    for feats in feature_sets:
-        cov = data.universe
-        for j in feats:
-            cov &= data.columns[j]
-        covered |= cov
+    covered = ruleset_from_features(feature_sets, data).covered
     return [(covered >> i) & 1 for i in range(data.n)]

@@ -141,7 +141,12 @@ def load_model(path: str) -> LoadedModel:
             if name not in index:
                 raise ModelFormatError(f"{path}: rule uses unknown feature {name!r}")
             feats.append(index[name])
-        rule_features.append(tuple(sorted(feats)))
+        key = tuple(sorted(feats))
+        if len(set(key)) != len(key):
+            raise ModelFormatError(f"{path}: rule {rule!r} repeats a feature")
+        if key in rule_features:
+            raise ModelFormatError(f"{path}: rule {rule!r} is listed twice")
+        rule_features.append(key)
     return LoadedModel(
         hyperparams=h, descriptors=descriptors, rule_features=rule_features
     )

@@ -61,8 +61,8 @@ class Hyperparams:
     def __post_init__(self) -> None:
         for name in ("beta0", "beta1", "beta2", "lam"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or math.isnan(v) or v < 0:
-                raise ConfigError(f"{name} must be a nonnegative number, got {v!r}")
+            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+                raise ConfigError(f"{name} must be a finite nonnegative number, got {v!r}")
         for name in ("max_rules", "active_size"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:

@@ -139,10 +139,8 @@ class SubproblemInstance:
     """One greedy step's rule-search problem over the sample weights."""
 
     columns: list[int]
-    exclusions: list[int]
     universe: int
     n: int
-    alpha: float
     lam: float
     beta0: float
     beta2: float
@@ -150,7 +148,6 @@ class SubproblemInstance:
     uncovered_pos: int
     covered_pos: int
     negatives: int
-    weight_total: float
     u: ExclusionCoverage
     w: ExclusionCoverage
 
@@ -161,22 +158,28 @@ class SubproblemInstance:
         return len(self.columns)
 
     @property
-    def pos_samples(self) -> int:
-        return self.uncovered_pos
+    def weight_total(self) -> float:
+        """v(empty): the summed sample weights."""
+        return self.score(self.uncovered_pos, self.covered_pos, self.negatives, 0)
 
-    @property
-    def neg_samples(self) -> int:
-        return self.covered_pos | self.negatives
+    def cover(self, features: Iterable[int]) -> tuple[int, int, int]:
+        """The uncovered positives, covered positives and negatives the
+        rule covers, as bitsets."""
+        cov = intersect_all((self.columns[j] for j in features), self.universe)
+        return cov & self.uncovered_pos, cov & self.covered_pos, cov & self.negatives
+
+    def score(self, vp: int, vc: int, vn: int, size: int) -> float:
+        """v of a rule of the given length that covers the masks from cover()."""
+        return (
+            self.pos_weight * vp.bit_count()
+            - self.beta2 * vc.bit_count()
+            - self.beta0 * vn.bit_count()
+            - self.lam * size
+        )
 
     def value(self, features: Sequence[int]) -> float:
         """v(R) for a rule given as sorted distinct feature indices."""
-        cov = intersect_all((self.columns[j] for j in features), self.universe)
-        return (
-            self.pos_weight * (cov & self.uncovered_pos).bit_count()
-            - self.beta2 * (cov & self.covered_pos).bit_count()
-            - self.beta0 * (cov & self.negatives).bit_count()
-            - self.lam * len(features)
-        )
+        return self.score(*self.cover(features), len(features))
 
     def u_of(self, features: Sequence[int]) -> float:
         return self.u.value(features)
@@ -221,11 +224,6 @@ def build_instance(
     uncovered_pos = data.positives & ~S.covered
     covered_pos = data.positives & S.covered
     negatives = data.negatives
-    weight_total = (
-        pos_weight * uncovered_pos.bit_count()
-        - h.beta2 * covered_pos.bit_count()
-        - h.beta0 * negatives.bit_count()
-    )
     u = ExclusionCoverage(
         data.columns, data.universe, [(h.beta0, negatives), (h.beta2, covered_pos)]
     )
@@ -234,10 +232,8 @@ def build_instance(
     )
     return SubproblemInstance(
         columns=data.columns,
-        exclusions=data.exclusions,
         universe=data.universe,
         n=data.n,
-        alpha=alpha,
         lam=h.lam,
         beta0=h.beta0,
         beta2=h.beta2,
@@ -245,7 +241,6 @@ def build_instance(
         uncovered_pos=uncovered_pos,
         covered_pos=covered_pos,
         negatives=negatives,
-        weight_total=weight_total,
         u=u,
         w=w,
     )
@@ -374,14 +369,7 @@ def enlarge(
     columns = inst.columns
     r = sorted(set(features))
     in_r = set(r)
-    vp = inst.uncovered_pos
-    vc = inst.covered_pos
-    vn = inst.negatives
-    for j in r:
-        col = columns[j]
-        vp &= col
-        vc &= col
-        vn &= col
+    vp, vc, vn = inst.cover(r)
     target = min(m, d)
     while len(r) < target:
         pcp = vp.bit_count()
@@ -436,30 +424,14 @@ def swap_local_search(
     """
     d = inst.d
     columns = inst.columns
+    cover, score = inst.cover, inst.score
     r = sorted(set(features))
-
-    def covers(feats: Iterable[int]) -> tuple[int, int, int]:
-        vp, vc, vn = inst.uncovered_pos, inst.covered_pos, inst.negatives
-        for j in feats:
-            col = columns[j]
-            vp &= col
-            vc &= col
-            vn &= col
-        return vp, vc, vn
-
-    def value_of(vp: int, vc: int, vn: int, size: int) -> float:
-        return (
-            inst.pos_weight * vp.bit_count()
-            - inst.beta2 * vc.bit_count()
-            - inst.beta0 * vn.bit_count()
-            - inst.lam * size
-        )
 
     cap = _iteration_cap(d)
     for _ in range(cap):
         changed = False
-        vp, vc, vn = covers(r)
-        v_r = value_of(vp, vc, vn, len(r))
+        vp, vc, vn = cover(r)
+        v_r = score(vp, vc, vn, len(r))
 
         # Add while some feature has positive marginal value.
         grew = True
@@ -471,7 +443,7 @@ def swap_local_search(
                     continue
                 col = columns[j]
                 nvp, nvc, nvn = vp & col, vc & col, vn & col
-                gain = value_of(nvp, nvc, nvn, len(r) + 1) - v_r
+                gain = score(nvp, nvc, nvn, len(r) + 1) - v_r
                 if gain > TOL:
                     r.append(j)
                     in_r.add(j)
@@ -488,8 +460,8 @@ def swap_local_search(
             shrunk = False
             for j in list(r):
                 rest = [x for x in r if x != j]
-                bvp, bvc, bvn = covers(rest)
-                v_rest = value_of(bvp, bvc, bvn, len(rest))
+                bvp, bvc, bvn = cover(rest)
+                v_rest = score(bvp, bvc, bvn, len(rest))
                 if v_r - v_rest <= TOL:
                     r = rest
                     vp, vc, vn = bvp, bvc, bvn
@@ -506,16 +478,16 @@ def swap_local_search(
             in_r = set(r)
             for a in list(r):
                 rest = [x for x in r if x != a]
-                bvp, bvc, bvn = covers(rest)
+                bvp, bvc, bvn = cover(rest)
                 found = False
                 for b in range(d):
                     if b in in_r:
                         continue
                     col = columns[b]
-                    v_new = value_of(bvp & col, bvc & col, bvn & col, len(r))
+                    v_new = score(bvp & col, bvc & col, bvn & col, len(r))
                     if v_new > v_r + TOL:
                         r = sorted(rest + [b])
-                        vp, vc, vn = covers(r)
+                        vp, vc, vn = cover(r)
                         v_r = v_new
                         changed = swapped = found = True
                         if trace is not None:

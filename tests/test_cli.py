@@ -147,6 +147,38 @@ def test_train_rejects_invalid_weight_combination(tmp_path, capsys):
     )
     assert rc == 2
     assert "requires beta1 > (e-1)*beta2" in capsys.readouterr().err
+    for flag in ("--beta0", "--beta1", "--lambda"):
+        rc = run(
+            [
+                "train",
+                "--data", str(data_csv),
+                "--labels-column", "y",
+                flag, "inf",
+                "--model", str(tmp_path / "m.json"),
+            ]
+        )
+        assert rc == 2
+        assert "must be a finite nonnegative number" in capsys.readouterr().err
+
+
+def test_train_and_predict_with_thresholds_beyond_six_digits(tmp_path, capsys):
+    # Six significant digits would name the cuts 1234567 and 1234571 alike.
+    data_csv = tmp_path / "data.csv"
+    with open(data_csv, "w") as fh:
+        fh.write("x,y\n")
+        for v in range(1234560, 1234600):
+            fh.write(f"{v},{int(v >= 1234580)}\n")
+    model_json = tmp_path / "model.json"
+    rc = run(["train", "--data", str(data_csv), "--labels-column", "y",
+              "--model", str(model_json)])
+    assert rc == 0
+    names = [d.name for d in load_model(model_json).descriptors]
+    assert len(set(names)) == len(names)
+    assert "x > 1234579.0" in names
+    rc = run(["predict", "--data", str(data_csv), "--model", str(model_json),
+              "--labels-column", "y", "--out", str(tmp_path / "preds.csv")])
+    assert rc == 0
+    assert "accuracy=1.0000" in capsys.readouterr().err
 
 
 def test_preset_conflicts_with_explicit_weights(tmp_path, capsys):

@@ -171,24 +171,6 @@ def test_binarize_question_mark_is_a_category():
     assert "c = ?" in data.feature_names()
 
 
-def test_binarize_column_exclusion_complement_invariant():
-    rng = random.Random(11)
-    for _ in range(30):
-        n = rng.randrange(2, 40)
-        rows = [
-            [rng.choice("abc"), str(rng.randrange(2)), str(rng.randrange(2))]
-            for _ in range(n)
-        ]
-        # force at least one row of each label so labels are non-constant
-        rows[0][2] = "0"
-        rows[-1][2] = "1"
-        table = make_table(["c", "b", "y"], rows)
-        data = binarize(table, {"c": CATEGORICAL, "b": BINARY, "y": LABEL})
-        for col, excl in zip(data.columns, data.exclusions):
-            assert col ^ excl == data.universe
-            assert col.bit_count() + excl.bit_count() == data.n
-
-
 def test_binarize_is_deterministic():
     rng = random.Random(5)
     rows = [[rng.choice("xyz"), str(rng.random()), str(rng.randrange(2))] for _ in range(25)]
@@ -234,6 +216,20 @@ def test_apply_descriptors_without_labels_gives_zero_labels():
     out = apply_descriptors(unlabeled, data.descriptors)
     assert out.labels == 0
     assert out.columns == data.columns
+
+
+def test_non_finite_cells_are_rejected_in_training_and_serving():
+    clean = [[str(v), str(v % 2)] for v in range(10)]
+    schema = {"v": NUMERIC, "y": LABEL}
+    descriptors = binarize(make_table(["v", "y"], clean), schema).descriptors
+    for bad in ("nan", "inf", "-inf"):
+        rows = [list(r) for r in clean]
+        rows[3][0] = bad
+        table = make_table(["v", "y"], rows)
+        with pytest.raises(DataError, match="non-finite"):
+            binarize(table, schema)
+        with pytest.raises(DataError, match="non-finite"):
+            apply_descriptors(table, descriptors)
 
 
 def test_binary_dataset_row_bits():

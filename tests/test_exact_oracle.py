@@ -12,7 +12,6 @@ from rulecover.exact_oracle import (
     bnb_max,
     brute_force_ruleset_opt,
     enumerate_best,
-    exhaustive_rule_value,
 )
 from rulecover.objective import ConfigError, Hyperparams, Rule, RuleSet, profit
 from rulecover.subproblem import build_instance
@@ -45,6 +44,39 @@ def test_bnb_matches_enumeration_on_random_instances():
         assert res.value == pytest.approx(best_v, abs=1e-9)
         assert inst.value(res.features) == pytest.approx(best_v, abs=1e-9)
         assert res.proven_optimal
+
+
+def test_bnb_matches_enumeration_on_many_rows_and_small_lambda():
+    # Many rows against a small length price: the regime where the bound
+    # prunes least. bnb_max prices children with its own inline copy of
+    # score(), so its value must equal value() of its rule exactly.
+    rng = random.Random(21)
+    for _ in range(12):
+        data = random_dataset(
+            rng, n=rng.randint(200, 600), d=rng.randint(8, 24),
+            density=rng.uniform(0.5, 0.9), pos_frac=rng.uniform(0.2, 0.8),
+        )
+        h = Hyperparams(beta0=rng.uniform(0.2, 2.0), beta2=rng.choice([0.0, 0.01, 0.1]),
+                        lam=rng.choice([0.0, 0.01]))
+        S = RuleSet()
+        if rng.random() < 0.5:
+            S.add(Rule.build(rng.sample(range(data.d), 2), data))
+        inst = build_instance(S, data, h, rng.uniform(0.37, 1.0))
+        cands = sorted(rng.sample(range(data.d), rng.randint(1, 12)))
+        res = bnb_max(inst, cands)
+        feats, best_v = enumerate_best(inst, cands)
+        assert res.proven_optimal
+        assert res.value == pytest.approx(best_v, abs=1e-9)
+        assert inst.value(res.features) == res.value
+        assert inst.value(feats) == best_v
+
+        rule = sorted(rng.sample(range(data.d), rng.randint(0, 4)))
+        vp, vc, vn = inst.cover(rule)
+        for i in range(data.n):
+            hit = all(data.columns[j] >> i & 1 for j in rule)
+            assert vp >> i & 1 == (hit and inst.uncovered_pos >> i & 1)
+            assert vc >> i & 1 == (hit and inst.covered_pos >> i & 1)
+            assert vn >> i & 1 == (hit and inst.negatives >> i & 1)
 
 
 def test_bnb_on_wide_instance_restricted_to_candidate_pool():
@@ -112,14 +144,6 @@ def test_enumerate_best_small_oracle_against_itertools():
                 expect = max(expect, inst.value(combo))
         assert best_v == pytest.approx(expect, abs=1e-9)
         assert inst.value(feats) == pytest.approx(best_v, abs=1e-9)
-
-
-def test_exhaustive_rule_value_spans_all_features():
-    rng = random.Random(10)
-    inst, *_ = random_instance(rng, d_max=6)
-    feats, best_v = exhaustive_rule_value(inst)
-    other = enumerate_best(inst, range(inst.d))
-    assert (feats, best_v) == other
 
 
 def test_brute_force_zero_rules_budget_gives_empty_set():

@@ -127,6 +127,19 @@ def test_load_model_rejects_duplicate_feature_names(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_repeated_rules_and_literals(tmp_path):
+    path, data, S, h = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    first = doc["rules"][0]
+    for rules, match in (
+        (doc["rules"] + [list(reversed(first))], "listed twice"),
+        ([first + first[:1]], "repeats a feature"),
+    ):
+        path.write_text(json.dumps(dict(doc, rules=rules)))
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+
 def test_empty_model_roundtrip(tmp_path):
     rng = random.Random(1)
     data = random_dataset(rng, n=10, d=3)

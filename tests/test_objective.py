@@ -77,6 +77,9 @@ def test_hyperparams_rejects_negative_weights():
         Hyperparams(max_rules=0)
     with pytest.raises(ConfigError):
         Hyperparams(active_size=0)
+    for name in ("beta0", "beta1", "lam"):
+        with pytest.raises(ConfigError, match="finite"):
+            Hyperparams(**{name: math.inf})
 
 
 def test_preset_penalized_01():
