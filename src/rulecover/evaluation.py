@@ -263,6 +263,7 @@ class GapResult:
     proven_optimal: bool
     approx_rules: list[tuple[int, ...]]
     bnb_rules: list[tuple[int, ...]]
+    bnb_nodes: int | None
 
     def as_dict(self) -> dict:
         return {
@@ -272,6 +273,7 @@ class GapResult:
             "proven_optimal": self.proven_optimal,
             "approx_rules": [list(r) for r in self.approx_rules],
             "bnb_rules": [list(r) for r in self.bnb_rules],
+            "bnb_nodes": self.bnb_nodes,
         }
 
 
@@ -300,4 +302,5 @@ def relative_gap(
         proven_optimal=report_bnb.all_proven,
         approx_rules=S_approx.feature_sets(),
         bnb_rules=S_bnb.feature_sets(),
+        bnb_nodes=report_bnb.bnb_nodes,
     )

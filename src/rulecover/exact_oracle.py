@@ -2,15 +2,21 @@
 
 bnb_max solves the single-rule subproblem exactly over a candidate
 feature set by depth-first branch and bound. Each node fixes a rule R and
-may only add candidates with higher index, so the tree enumerates
-subsets without repeats. The bound
+may only add candidates at later sorted positions, so the tree enumerates
+subsets without repeats. With suf(R) the AND of every candidate column
+R may still add, the bound
 
-    bound(R) = pos_weight * |uncovered positives still covered| - lam*|R|
+    bound(R) = pos_weight * |vp(R)| - beta2 * |vc(R) & suf(R)|
+               - beta0 * |vn(R) & suf(R)| - lam*|R|
 
-dominates v(R') for every superset R' of R: supersets can only lose
-covered positives, keep or grow the penalty terms, and pay more length
-cost. Pruning on it is therefore lossless and the search is exact unless
-the time limit interrupts it, which the result reports honestly.
+dominates v(R') for every descendant R' of R (CORELS-style, Angelino et
+al. 2017). R' adds only columns from that suffix, so it covers a subset of
+vp(R) and at least vc(R) & suf(R) and vn(R) & suf(R), and it pays at least
+lam*|R| length cost. The weights make each of these a loss: Hyperparams
+keeps beta0, beta2 and lam nonnegative, and build_instance requires
+pos_weight > 0. Pruning on the bound is therefore lossless and the search
+is exact unless the time limit interrupts it, which the result reports
+honestly.
 
 brute_force_ruleset_opt enumerates entire rule sets for tiny instances;
 it exists to pin down the outer greedy's quality in tests.
@@ -49,10 +55,11 @@ def bnb_max(
     """Best rule over subsets of the candidate features.
 
     Candidates are explored in decreasing order of their singleton
-    exclusion gain (ties by index), children best-bound-first. A node is
-    pruned when its bound cannot beat the incumbent by more than the
-    tolerance, so ties keep the first-found rule and the search is
-    deterministic. With no time limit the result is provably optimal.
+    exclusion gain (ties by index), children in decreasing order of
+    pos_weight*|vp| - lam*|R|. A node is pruned when its bound (module
+    docstring) cannot beat the incumbent by more than the tolerance, so
+    ties keep the first-found rule and the search is deterministic. With
+    no time limit the result is provably optimal.
     """
     cands = sorted(set(candidates))
     if any(j < 0 or j >= inst.d for j in cands):
@@ -74,11 +81,22 @@ def bnb_max(
     timed_out = False
     nodes = 0
 
-    # Stack entries: (bound, next candidate index, features, vp, vc, vn).
+    # suffix_and[i]: rows every candidate from sorted position i on covers,
+    # so every descendant of a node with next index i still covers them.
+    suffix_and = [(1 << inst.n) - 1] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix_and[i] = suffix_and[i + 1] & columns[cands[i]]
+
+    # Stack entries: (sort key, bound, next candidate index, features, vp,
+    # vc, vn). The bound, which also charges the rows no descendant can
+    # shed, prunes. Siblings are ordered (stable sort) by the key,
+    # pos_weight*|vp| - lam*|R|, which omits those terms; so the nodes
+    # visited are those a key-only bound would visit, less the pruned ones,
+    # in the same order, and ties keep the same first-found rule.
     root_bound = pos_weight * vp0.bit_count()
-    stack = [(root_bound, 0, (), vp0, vc0, vn0)]
+    stack = [(root_bound, root_bound, 0, (), vp0, vc0, vn0)]
     while stack:
-        bound, start, feats, vp, vc, vn = stack.pop()
+        _, bound, start, feats, vp, vc, vn = stack.pop()
         if bound <= best_v + TOL:
             continue
         nodes += 1
@@ -87,24 +105,32 @@ def bnb_max(
                 timed_out = True
                 break
         children = []
-        size = len(feats)
+        length = lam * (len(feats) + 1)
         for i in range(start, len(cands)):
             col = columns[cands[i]]
             cvp, cvc, cvn = vp & col, vc & col, vn & col
+            gain = pos_weight * cvp.bit_count()
             # inst.score inlined: a call per child made bnb_max 1-8% slower
             # on the bench workloads, where bnb_max is most of a fit.
-            v_child = (
-                pos_weight * cvp.bit_count()
-                - beta2 * cvc.bit_count()
-                - beta0 * cvn.bit_count()
-                - lam * (size + 1)
-            )
+            v_child = gain - beta2 * cvc.bit_count() - beta0 * cvn.bit_count() - length
             if v_child > best_v:
                 best_v = v_child
                 best_feats = feats + (cands[i],)
-            child_bound = pos_weight * cvp.bit_count() - lam * (size + 1)
-            if child_bound > best_v + TOL:
-                children.append((child_bound, i + 1, feats + (cands[i],), cvp, cvc, cvn))
+            # The key is the bound without the suffix terms: the two extra
+            # ANDs are paid only for a child it does not prune already.
+            key = gain - length
+            if key > best_v + TOL:
+                suf = suffix_and[i + 1]
+                child_bound = (
+                    gain
+                    - beta2 * (cvc & suf).bit_count()
+                    - beta0 * (cvn & suf).bit_count()
+                    - length
+                )
+                if child_bound > best_v + TOL:
+                    children.append(
+                        (key, child_bound, i + 1, feats + (cands[i],), cvp, cvc, cvn)
+                    )
         children.sort(key=lambda c: c[0])
         stack.extend(children)
 

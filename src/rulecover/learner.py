@@ -74,6 +74,7 @@ class IterationRecord:
     inserted: bool
     profit_after: float
     proven_optimal: bool | None = None
+    bnb_nodes: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -85,6 +86,7 @@ class IterationRecord:
             "inserted": self.inserted,
             "profit_after": self.profit_after,
             "proven_optimal": self.proven_optimal,
+            "bnb_nodes": self.bnb_nodes,
         }
 
 
@@ -106,6 +108,12 @@ class TrainReport:
         """True when every exact-mode solve finished within its budget."""
         return all(r.proven_optimal is not False for r in self.iterations)
 
+    @property
+    def bnb_nodes(self) -> int | None:
+        """Branch-and-bound nodes over the exact-mode solves; None if none."""
+        counts = [r.bnb_nodes for r in self.iterations if r.bnb_nodes is not None]
+        return sum(counts) if counts else None
+
     def as_dict(self) -> dict:
         return {
             "iterations": [r.as_dict() for r in self.iterations],
@@ -116,18 +124,20 @@ class TrainReport:
             "fit_seconds": self.fit_seconds,
             "refine_passes": self.refine_passes,
             "all_proven": self.all_proven,
+            "bnb_nodes": self.bnb_nodes,
         }
 
 
 def _solve_rule(
     inst: SubproblemInstance, cfg: TrainConfig, rng: random.Random
-) -> tuple[tuple[int, ...], float, bool | None]:
-    """Dispatch one subproblem solve; returns (rule, v, proven-or-None)."""
+) -> tuple[tuple[int, ...], float, bool | None, int | None]:
+    """Dispatch one subproblem solve; returns (rule, v, proven, nodes), the
+    last two None for the local solver."""
     if cfg.subproblem == "local":
         feats = local_combinatorial_search(
             inst, m=cfg.hyperparams.active_size, ds_restarts=cfg.ds_restarts, rng=rng
         )
-        return feats, inst.value(feats), None
+        return feats, inst.value(feats), None, None
     if cfg.subproblem == "bnb" and inst.d > BNB_EXACT_CAP:
         raise ConfigError(
             f"subproblem mode 'bnb' allows at most {BNB_EXACT_CAP} features, "
@@ -135,7 +145,7 @@ def _solve_rule(
         )
     limit = cfg.time_limit if cfg.subproblem == "bnb-timed" else None
     res = bnb_max(inst, range(inst.d), limit)
-    return res.features, res.value, res.proven_optimal
+    return res.features, res.value, res.proven_optimal, res.nodes
 
 
 def _alpha(k: int, K: int) -> float:
@@ -154,7 +164,7 @@ def _grow(
     """Solve for the next rule at weight alpha and add it to S (in place)
     when its value is positive and it is not already in S."""
     inst = build_instance(S, data, cfg.hyperparams, alpha)
-    feats, v, proven = _solve_rule(inst, cfg, rng)
+    feats, v, proven, nodes = _solve_rule(inst, cfg, rng)
     inserted = v > TOL and feats not in S.feature_sets()
     if inserted:
         S.add(Rule.build(feats, data))
@@ -167,6 +177,7 @@ def _grow(
         inserted=inserted,
         profit_after=profit(S, data, cfg.hyperparams),
         proven_optimal=proven,
+        bnb_nodes=nodes,
     )
 
 
@@ -228,7 +239,7 @@ def refine(
             v_before = profit(S, data, h)
             S.remove(old)
             inst = build_instance(S, data, h, 1.0)
-            feats, v, proven = _solve_rule(inst, cfg, rng)
+            feats, v, proven, nodes = _solve_rule(inst, cfg, rng)
             replaced = False
             if v > TOL and feats not in S.feature_sets():
                 S.add(Rule.build(feats, data))
@@ -250,6 +261,7 @@ def refine(
                         inserted=accepted,
                         profit_after=profit(S, data, h),
                         proven_optimal=proven,
+                        bnb_nodes=nodes,
                     )
                 )
         if set(S.feature_sets()) == before:

@@ -129,7 +129,7 @@ def load_model(path: str) -> LoadedModel:
                     operand=f["operand"],
                 )
             )
-        except (KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ModelFormatError(f"{path}: bad feature entry ({e})") from None
     index = {d.name: j for j, d in enumerate(descriptors)}
     if len(index) != len(descriptors):

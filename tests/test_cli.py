@@ -89,6 +89,8 @@ def test_train_predict_roundtrip(tmp_path, capsys):
         report = json.load(fh)
     assert report["final_profit"] > 0
     assert report["iterations"]
+    assert report["bnb_nodes"] is None
+    assert all(it["bnb_nodes"] is None for it in report["iterations"])
 
     rc = run(
         [
@@ -305,6 +307,7 @@ def test_gap_command_reports_json(tmp_path, capsys):
         doc = json.load(fh)
     assert doc["gap"] == pytest.approx(0.0, abs=1e-9)
     assert doc["proven_optimal"] is True
+    assert doc["bnb_nodes"] >= 1
 
 
 def write_ttt_csv(tmp_path):
@@ -379,6 +382,23 @@ def test_predict_rejects_misspelled_labels_column(tmp_path, capsys):
     )
     assert rc == 2
     assert "lacks column 'outcome'" in capsys.readouterr().err
+
+
+def test_predict_rejects_model_with_non_numeric_threshold(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(4))
+    model_json = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", str(data_csv), "--labels-column", "y",
+         "--model", str(model_json)]
+    ) == 0
+    doc = json.loads(model_json.read_text())
+    doc["features"][0].update(kind="numeric-le", operand="abc")
+    model_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
+    assert rc == 2
+    assert "bad feature entry" in capsys.readouterr().err
 
 
 def test_predict_with_empty_model_is_all_zeros(tmp_path, capsys):

@@ -79,6 +79,49 @@ def test_bnb_matches_enumeration_on_many_rows_and_small_lambda():
             assert vn >> i & 1 == (hit and inst.negatives >> i & 1)
 
 
+def test_bnb_matches_enumeration_when_suffix_terms_prune():
+    # A nonempty rule set puts rows in covered_pos, and beta2 up to 1 and
+    # beta0 from 0.2 make the rows no descendant can shed weigh in the
+    # bound, so both suffix terms decide what is pruned.
+    rng = random.Random(22)
+    for _ in range(16):
+        data = random_dataset(
+            rng, n=rng.randint(200, 600), d=rng.randint(8, 24),
+            density=rng.uniform(0.5, 0.9), pos_frac=rng.uniform(0.2, 0.8),
+        )
+        beta2 = rng.choice([0.0, 0.01, 0.1, 1.0])
+        h = Hyperparams(beta0=rng.uniform(0.2, 2.0), beta1=1.0 + 2.0 * beta2,
+                        beta2=beta2, lam=rng.choice([0.0, 0.01, 1.0]))
+        S, n_rules = RuleSet(), rng.randint(1, 3)
+        while len(S) < n_rules:
+            rule = Rule.build(rng.sample(range(data.d), rng.randint(1, 3)), data)
+            if rule not in S:
+                S.add(rule)
+        inst = build_instance(S, data, h, rng.uniform(0.37, 1.0))
+        assert inst.covered_pos
+        cands = sorted(rng.sample(range(data.d), rng.randint(1, 12)))
+        res = bnb_max(inst, cands)
+        feats, best_v = enumerate_best(inst, cands)
+        assert res.proven_optimal
+        assert res.value == pytest.approx(best_v, abs=1e-9)
+        assert inst.value(res.features) == res.value
+
+
+# The suffix bound visits 5,953 nodes on this instance; the bound without
+# the suffix terms visited all 2^16 = 65,536 subsets.
+SUFFIX_BOUND_MAX_NODES = 2**16 // 8
+
+
+def test_bnb_suffix_bound_prunes_dense_instance():
+    rng = random.Random(31)
+    data = random_dataset(rng, n=400, d=16, density=0.9, pos_frac=0.5)
+    inst = build_instance(RuleSet(), data, Hyperparams(beta2=0.1, lam=0.01), 1.0)
+    res = bnb_max(inst, range(16))
+    assert res.proven_optimal
+    assert res.nodes <= SUFFIX_BOUND_MAX_NODES
+    assert res.value == pytest.approx(enumerate_best(inst, range(16))[1], abs=1e-9)
+
+
 def test_bnb_on_wide_instance_restricted_to_candidate_pool():
     # transfusion-scale width: only the candidate features may appear
     rng = random.Random(4)

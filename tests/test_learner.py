@@ -129,6 +129,21 @@ def test_exact_mode_satisfies_greedy_guarantee_quickly():
         assert report.greedy_profit >= factor * gain - cost - 1e-9
 
 
+def test_report_counts_bnb_nodes_of_exact_solves_only():
+    rng = random.Random(13)
+    data = random_dataset(rng, n=30, d=6)
+    _, local = train(data, TrainConfig())
+    assert all(r.bnb_nodes is None for r in local.iterations)
+    assert local.bnb_nodes is None and local.as_dict()["bnb_nodes"] is None
+    _, exact = train(data, TrainConfig(subproblem="bnb"))
+    assert all(r.bnb_nodes >= 1 for r in exact.iterations)
+    assert exact.bnb_nodes == sum(r.bnb_nodes for r in exact.iterations)
+    assert exact.as_dict()["bnb_nodes"] == exact.bnb_nodes
+    assert [r.as_dict()["bnb_nodes"] for r in exact.iterations] == [
+        r.bnb_nodes for r in exact.iterations
+    ]
+
+
 def test_refine_never_lowers_profit():
     rng = random.Random(8)
     for _ in range(30):

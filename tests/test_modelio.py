@@ -140,6 +140,15 @@ def test_load_model_rejects_repeated_rules_and_literals(tmp_path):
             load_model(path)
 
 
+def test_load_model_rejects_non_numeric_threshold(tmp_path):
+    path, data, S, h = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["features"][0].update(kind="numeric-le", operand="abc")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="bad feature entry"):
+        load_model(path)
+
+
 def test_empty_model_roundtrip(tmp_path):
     rng = random.Random(1)
     data = random_dataset(rng, n=10, d=3)
