@@ -16,11 +16,10 @@ def all_ones(n: int) -> int:
 
 
 def pack_bools(flags: Iterable[bool]) -> int:
-    bits = 0
-    for i, f in enumerate(flags):
-        if f:
-            bits |= 1 << i
-    return bits
+    """Bitset with bit i set iff flags[i] is truthy. One base-2 int() of the
+    reversed digit string, which is linear in the length, instead of one
+    shift-and-or per set bit."""
+    return int("".join(["1" if f else "0" for f in flags])[::-1] or "0", 2)
 
 
 def bit_indices(x: int) -> Iterator[int]:

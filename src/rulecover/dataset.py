@@ -12,6 +12,11 @@ polarities of every condition:
 Numeric cut points are the sample deciles (empirical quantiles at
 q = 0.1..0.9 by sorted-order index ceil(q*n) - 1, deduplicated).
 Constant columns carry no signal and are skipped with a warning.
+
+binarize (training) and apply_descriptors (serving) encode each column
+with one encoder, _encode_column. It parses numeric cells once, packs
+each `=`, `<=` and binary bitset once and takes `!=`, `>` and `= 0` as
+their complements; FeatureDescriptor.test is its per-cell reference.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ NUMERIC = "numeric"
 BINARY = "binary"
 LABEL = "label"
 COLUMN_KINDS = (CATEGORICAL, NUMERIC, BINARY, LABEL)
-
-QUANTILES = tuple(k / 10 for k in range(1, 10))
 
 FEATURE_KINDS = (
     "categorical-eq",
@@ -160,9 +163,15 @@ class FeatureDescriptor:
             raise SchemaError(f"unknown feature kind {self.kind!r}")
         if self.kind in ("numeric-le", "numeric-gt") and not math.isfinite(float(self.operand)):
             raise SchemaError(f"{self.name}: numeric threshold must be finite")
+        # An operand such as True, "1" or 7 would match no cell: all-false.
+        binary_ok = type(self.operand) is int and self.operand in (0, 1)
+        if self.kind == "raw-binary" and not binary_ok:
+            raise SchemaError(f"{self.name}: binary operand must be the integer 0 or 1")
+        if self.kind.startswith("categorical") and not isinstance(self.operand, str):
+            raise SchemaError(f"{self.name}: categorical operand must be a string")
 
     def test(self, cell: str) -> bool:
-        """Evaluate the feature on one raw cell."""
+        """Evaluate the feature on one raw cell (the encoder's reference)."""
         if self.kind == "categorical-eq":
             return cell == self.operand
         if self.kind == "categorical-neq":
@@ -301,6 +310,39 @@ def _label_bits(col: list[str], name: str) -> int:
     return pack_bools(v == "1" for v in col)
 
 
+def _encode_column(
+    col: list[str], name: str, descriptors: Sequence[FeatureDescriptor], universe: int
+) -> list[int]:
+    """One bitset per descriptor, all read from the raw column `col`. Each
+    check runs at the first descriptor that needs it, so the error is the
+    one FeatureDescriptor.test raises on the first offending cell."""
+    if "" in col:
+        raise DataError(f"{name}: missing values are not supported")
+    values: list[float] = []
+    packed: dict[tuple, int] = {}  # ("<=", cut), ("=", category) or ("binary",)
+    out = []
+    for desc in descriptors:
+        if desc.kind in ("numeric-le", "numeric-gt"):
+            cut, positive = float(desc.operand), desc.kind == "numeric-le"
+            key: tuple = ("<=", cut)
+            if key not in packed:
+                values = values or [_parse_number(v, name) for v in col]
+                packed[key] = pack_bools([v <= cut for v in values])
+        elif desc.kind == "raw-binary":
+            key, positive = ("binary",), desc.operand == 1
+            if key not in packed:
+                if not set(col) <= {"0", "1"}:
+                    bad = next(v for v in col if v not in ("0", "1"))
+                    raise DataError(f"{name}: non-binary value {bad!r}")
+                packed[key] = pack_bools(map("1".__eq__, col))
+        else:
+            key, positive = ("=", desc.operand), desc.kind == "categorical-eq"
+            if key not in packed:
+                packed[key] = pack_bools(map(desc.operand.__eq__, col))
+        out.append(packed[key] if positive else universe ^ packed[key])
+    return out
+
+
 def binarize(table: Table, schema: dict[str, str]) -> BinaryDataset:
     """Binarize a raw table under the given column-kind schema.
 
@@ -315,60 +357,43 @@ def binarize(table: Table, schema: dict[str, str]) -> BinaryDataset:
 
     labels = _label_bits(table.column(label_name), label_name)
 
+    universe = all_ones(table.n)
     descriptors: list[FeatureDescriptor] = []
     columns: list[int] = []
     for ci, (name, col) in enumerate(zip(table.names, table.columns)):
         kind = schema[name]
         if kind == LABEL:
             continue
-        if any(v == "" for v in col):
+        if "" in col:
             raise DataError(f"{name}: missing values are not supported")
-        if len(set(col)) < 2:
+        distinct = set(col)
+        if len(distinct) < 2:
             warnings.warn(f"column {name!r} is constant; skipped", stacklevel=2)
             continue
+        derived: list[FeatureDescriptor] = []
         if kind == CATEGORICAL:
-            for z in sorted(set(col)):
-                eq = pack_bools(v == z for v in col)
-                descriptors.append(
-                    FeatureDescriptor(f"{name} = {z}", ci, name, "categorical-eq", z)
-                )
-                columns.append(eq)
-                descriptors.append(
-                    FeatureDescriptor(f"{name} != {z}", ci, name, "categorical-neq", z)
-                )
-                columns.append(all_ones(table.n) ^ eq)
+            for z in sorted(distinct):
+                derived.append(FeatureDescriptor(f"{name} = {z}", ci, name, "categorical-eq", z))
+                derived.append(FeatureDescriptor(f"{name} != {z}", ci, name, "categorical-neq", z))
         elif kind == NUMERIC:
             values = [_parse_number(v, name) for v in col]
-            for cut in decile_cuts(values):
-                le = pack_bools(v <= cut for v in values)
-                if le == 0 or le == all_ones(table.n):
-                    continue
+            # A cut is a sample value, so its `<=` feature is never all-false;
+            # it is all-true at the maximum, which is dropped.
+            top = max(values)
+            for cut in (c for c in decile_cuts(values) if c < top):
                 text = _format_number(cut)
-                descriptors.append(
-                    FeatureDescriptor(f"{name} <= {text}", ci, name, "numeric-le", cut)
-                )
-                columns.append(le)
-                descriptors.append(
-                    FeatureDescriptor(f"{name} > {text}", ci, name, "numeric-gt", cut)
-                )
-                columns.append(all_ones(table.n) ^ le)
+                derived.append(FeatureDescriptor(f"{name} <= {text}", ci, name, "numeric-le", cut))
+                derived.append(FeatureDescriptor(f"{name} > {text}", ci, name, "numeric-gt", cut))
         elif kind == BINARY:
-            bad = set(col) - {"0", "1"}
+            bad = distinct - {"0", "1"}
             if bad:
                 raise DataError(f"{name}: binary column has values {sorted(bad)!r}")
-            ones = pack_bools(v == "1" for v in col)
-            descriptors.append(FeatureDescriptor(f"{name} = 1", ci, name, "raw-binary", 1))
-            columns.append(ones)
-            descriptors.append(FeatureDescriptor(f"{name} = 0", ci, name, "raw-binary", 0))
-            columns.append(all_ones(table.n) ^ ones)
+            derived.append(FeatureDescriptor(f"{name} = 1", ci, name, "raw-binary", 1))
+            derived.append(FeatureDescriptor(f"{name} = 0", ci, name, "raw-binary", 0))
+        descriptors += derived
+        columns += _encode_column(col, name, derived, universe)
 
-    seen: dict[int, str] = {}
-    duplicates = 0
-    for desc, bits in zip(descriptors, columns):
-        if bits in seen:
-            duplicates += 1
-        else:
-            seen[bits] = desc.name
+    duplicates = len(columns) - len(set(columns))
     if duplicates:
         warnings.warn(f"{duplicates} duplicate binary feature(s) kept", stacklevel=2)
 
@@ -382,18 +407,26 @@ def apply_descriptors(
 ) -> BinaryDataset:
     """Encode new rows with features learned elsewhere (e.g. a train fold).
 
-    Label bits are zero when label_column is None or absent from the table.
+    Descriptors are grouped by source column and each column is encoded
+    once, in order of its first descriptor; the output keeps the
+    descriptors' order. Label bits are zero when label_column is None or
+    absent from the table.
     """
     if table.n == 0:
         raise DataError("empty table")
-    columns = []
-    for desc in descriptors:
-        if desc.source_name not in table.names:
-            raise SchemaError(f"table lacks column {desc.source_name!r}")
-        col = table.column(desc.source_name)
-        if any(v == "" for v in col):
-            raise DataError(f"{desc.source_name}: missing values are not supported")
-        columns.append(pack_bools(desc.test(v) for v in col))
+    by_column: dict[str, list[int]] = {}
+    for j, desc in enumerate(descriptors):
+        by_column.setdefault(desc.source_name, []).append(j)
+    index = {name: i for i, name in enumerate(table.names)}
+    universe = all_ones(table.n)
+    columns = [0] * len(descriptors)
+    for name, positions in by_column.items():
+        if name not in index:
+            raise SchemaError(f"table lacks column {name!r}")
+        group = [descriptors[j] for j in positions]
+        bits = _encode_column(table.columns[index[name]], name, group, universe)
+        for j, b in zip(positions, bits):
+            columns[j] = b
     if label_column is not None and label_column in table.names:
         labels = _label_bits(table.column(label_column), label_column)
     else:

@@ -19,6 +19,29 @@ def test_pack_bools_matches_manual_encoding():
     assert [bool(x >> i & 1) for i in range(5)] == flags
 
 
+def _pack_bools_by_shifts(flags):
+    # The former pack_bools: one shift-and-or per set bit.
+    bits = 0
+    for i, f in enumerate(flags):
+        if f:
+            bits |= 1 << i
+    return bits
+
+
+def test_pack_bools_matches_shift_and_or_loop():
+    rng = random.Random(11)
+    cases = [[], [False] * 13, [True] * 13, [True], [False]]
+    cases += [[rng.random() < 0.5 for _ in range(n)] for n in (1, 7, 9, 15, 17, 63, 65)]
+    cases.append([rng.random() < 0.5 for _ in range(10_000)])
+    for flags in cases:
+        expect = _pack_bools_by_shifts(flags)
+        assert pack_bools(flags) == expect
+        assert pack_bools(f for f in flags) == expect
+    assert pack_bools([]) == 0
+    assert pack_bools([False] * 13) == 0
+    assert pack_bools([True] * 13) == all_ones(13)
+
+
 def test_bit_indices_roundtrip():
     rng = random.Random(7)
     for _ in range(200):

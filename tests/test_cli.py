@@ -401,6 +401,68 @@ def test_predict_rejects_model_with_non_numeric_threshold(tmp_path, capsys):
     assert "bad feature entry" in capsys.readouterr().err
 
 
+def test_predict_rejects_model_with_boolean_binary_operand(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(4))
+    model_json = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", str(data_csv), "--labels-column", "y",
+         "--model", str(model_json)]
+    ) == 0
+    doc = json.loads(model_json.read_text())
+    assert doc["features"][0]["kind"] == "raw-binary"
+    doc["features"][0]["operand"] = True
+    model_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
+    assert rc == 2
+    assert "binary operand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("c", None, "table lacks column 'c'"),
+        ("c", "", "c: missing values are not supported"),
+        ("v", "", "v: missing values are not supported"),
+        ("v", "abc", "v: non-numeric value 'abc'"),
+        ("v", "nan", "v: non-finite value 'nan'"),
+        ("v", "inf", "v: non-finite value 'inf'"),
+        ("b", "2", "b: non-binary value '2'"),
+    ],
+)
+def test_predict_rejects_bad_cells_with_exit_2(tmp_path, capsys, column, cell, message):
+    rng = random.Random(6)
+    header = ["c", "v", "b", "y"]
+    rows = [
+        [rng.choice("pqr"), f"{rng.uniform(0, 9):.3f}", str(rng.randrange(2)),
+         str(rng.randrange(2))]
+        for _ in range(30)
+    ]
+    data_csv, serve_csv = tmp_path / "data.csv", tmp_path / "serve.csv"
+    data_csv.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    schema_json = tmp_path / "schema.json"
+    schema_json.write_text(json.dumps(
+        {"c": "categorical", "v": "numeric", "b": "binary", "y": "label"}
+    ))
+    model_json = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", str(data_csv), "--schema", str(schema_json),
+         "--model", str(model_json)]
+    ) == 0
+    j = header.index(column)
+    if cell is None:
+        served = [r[:j] + r[j + 1:] for r in [header] + rows]
+    else:
+        served = [header] + [list(r) for r in rows]
+        served[5][j] = cell
+    serve_csv.write_text("\n".join(",".join(r) for r in served) + "\n")
+    capsys.readouterr()
+    rc = run(["predict", "--data", str(serve_csv), "--model", str(model_json)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_predict_with_empty_model_is_all_zeros(tmp_path, capsys):
     # nothing to learn from all-negative data, so the model is empty and
     # every prediction is 0

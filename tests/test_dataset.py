@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -10,6 +11,7 @@ from rulecover.dataset import (
     BINARY,
     CATEGORICAL,
     DataError,
+    FeatureDescriptor,
     LABEL,
     NUMERIC,
     SchemaError,
@@ -230,6 +232,214 @@ def test_non_finite_cells_are_rejected_in_training_and_serving():
             binarize(table, schema)
         with pytest.raises(DataError, match="non-finite"):
             apply_descriptors(table, descriptors)
+
+
+def _binarize_quietly(table, schema):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return binarize(table, schema)
+
+
+def assert_serving_encodes_like_training(table, schema, rng):
+    """apply_descriptors on the training table gives binarize's bits, for
+    the full descriptor list, a shuffled one and a subset, also when the
+    table's columns come in another order; each column also agrees with
+    FeatureDescriptor.test cell by cell."""
+    label = check_schema(table, schema)
+    data = _binarize_quietly(table, schema)
+    assert all(0 != bits != data.universe for bits in data.columns)
+    again = apply_descriptors(table, data.descriptors, label)
+    assert again.columns == data.columns
+    assert again.labels == data.labels
+    assert again.descriptors == data.descriptors
+
+    order = list(range(len(table.names)))
+    rng.shuffle(order)
+    reordered = Table([table.names[i] for i in order], [table.columns[i] for i in order])
+    shuffled = list(range(data.d))
+    rng.shuffle(shuffled)
+    subset = sorted(rng.sample(range(data.d), rng.randrange(data.d + 1)))
+    for target in (table, reordered):
+        for picks in (shuffled, subset):
+            descriptors = [data.descriptors[j] for j in picks]
+            out = apply_descriptors(target, descriptors)
+            assert out.columns == [data.columns[j] for j in picks]
+            assert out.labels == 0
+            for bits, desc in zip(out.columns, descriptors):
+                cells = target.column(desc.source_name)
+                assert [bool(bits >> i & 1) for i in range(table.n)] == [
+                    desc.test(v) for v in cells
+                ]
+
+
+def random_table(rng, n):
+    """A seeded table mixing every column kind, with ties, signed zeros,
+    exponent spellings, rare values and constant columns."""
+    names, columns, schema = [], [], {}
+
+    def add(name, kind, cells):
+        names.append(name)
+        columns.append(cells)
+        schema[name] = kind
+
+    for j in range(rng.randrange(1, 4)):
+        k = rng.choice([1, 2, 3, 12])
+        add(f"c{j}", CATEGORICAL, [f"z{rng.randrange(k)}" for _ in range(n)])
+    pools = [
+        [str(rng.uniform(-5, 5)) for _ in range(n)],
+        ["-0", "0", "0.0", "1", "1e3", "1000", "-2.5", "7"],
+        ["3"] * 5 + ["4"],
+    ]
+    for j in range(rng.randrange(1, 4)):
+        pool = rng.choice(pools)
+        add(f"v{j}", NUMERIC, [rng.choice(pool) for _ in range(n)])
+    for j in range(rng.randrange(0, 3)):
+        p = rng.choice([0.0, 0.1, 0.5, 1.0])
+        add(f"b{j}", BINARY, [str(int(rng.random() < p)) for _ in range(n)])
+    add("y", LABEL, [str(rng.randrange(2)) for _ in range(n)])
+    return Table(names, columns), schema
+
+
+def test_serving_encodes_random_tables_like_training():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.choice([1, 2, 3, 10, 37, 200])
+        table, schema = random_table(rng, n)
+        assert_serving_encodes_like_training(table, schema, rng)
+
+
+def test_serving_encodes_adversarial_tables_like_training():
+    rng = random.Random(7)
+    n = 40
+    columns = {
+        # ties at every cut: each decile lands inside a block of equal values
+        "ties": [str(i // 10) for i in range(n)],
+        # signed zeros and two spellings of each value share every cut
+        "zeros": [rng.choice(["-0", "0", "-0.0", "0e0", "1"]) for _ in range(n)],
+        "spellings": [rng.choice(["1e3", "1000", "1000.0", "999", "1e-3"]) for _ in range(n)],
+        # one row differs from all the others: only a single cut survives
+        "one_off": ["5"] + ["2"] * (n - 1),
+        "one_off_cat": ["rare"] + ["common"] * (n - 1),
+        "one_off_bin": ["1"] + ["0"] * (n - 1),
+        # many categories, most of them on a single row
+        "many": [f"k{rng.randrange(150)}" for _ in range(n)],
+        # constant columns are skipped by binarize
+        "const_num": ["3.5"] * n,
+        "const_cat": ["x"] * n,
+        "const_bin": ["1"] * n,
+        "y": [str(i % 2) for i in range(n)],
+    }
+    schema = {
+        "ties": NUMERIC, "zeros": NUMERIC, "spellings": NUMERIC, "one_off": NUMERIC,
+        "one_off_cat": CATEGORICAL, "one_off_bin": BINARY, "many": CATEGORICAL,
+        "const_num": NUMERIC, "const_cat": CATEGORICAL, "const_bin": BINARY, "y": LABEL,
+    }
+    table = Table(list(columns), list(columns.values()))
+    data = _binarize_quietly(table, schema)
+    assert {d.source_name for d in data.descriptors}.isdisjoint(
+        {"const_num", "const_cat", "const_bin"}
+    )
+    # the 0.9 cut is the maximum, 3, whose `<=` feature would be all-true
+    assert [d.name for d in data.descriptors if d.source_name == "ties"] == [
+        "ties <= 0", "ties > 0", "ties <= 1", "ties > 1", "ties <= 2", "ties > 2",
+    ]
+    assert [d.name for d in data.descriptors if d.source_name == "one_off"] == [
+        "one_off <= 2",
+        "one_off > 2",
+    ]
+    assert_serving_encodes_like_training(table, schema, rng)
+    # a one-row table: every column is constant, so there are no features
+    one_row = table.select_rows([0])
+    assert _binarize_quietly(one_row, schema).d == 0
+    assert apply_descriptors(one_row, data.descriptors).columns == [
+        data.columns[j] & 1 for j in range(data.d)
+    ]
+
+
+# Exact messages: callers and users see them, and the shared column
+# encoder must raise what the per-cell FeatureDescriptor.test raises.
+TRAIN_CLEAN = [["a", "1.5", "1", "1"], ["b", "-2", "0", "0"], ["a", "3", "1", "0"]]
+SCHEMA = {"c": CATEGORICAL, "v": NUMERIC, "b": BINARY, "y": LABEL}
+CELL_ERRORS = [
+    # (column index, cells, binarize message, apply_descriptors message)
+    (0, ["a", "", "b"], "c: missing values are not supported",
+     "c: missing values are not supported"),
+    (1, ["1", "", "x"], "v: missing values are not supported",
+     "v: missing values are not supported"),
+    (1, ["1", "abc", "inf"], "v: non-numeric value 'abc'", "v: non-numeric value 'abc'"),
+    (1, ["1", "nan", "abc"], "v: non-finite value 'nan'", "v: non-finite value 'nan'"),
+    (1, ["-inf", "1", "2"], "v: non-finite value '-inf'", "v: non-finite value '-inf'"),
+    (1, ["1", "2", "inf"], "v: non-finite value 'inf'", "v: non-finite value 'inf'"),
+    (2, ["1", "7", "2"], "b: binary column has values ['2', '7']", "b: non-binary value '7'"),
+    (2, ["1", "2", "7"], "b: binary column has values ['2', '7']", "b: non-binary value '2'"),
+    (2, ["1", "", "2"], "b: missing values are not supported",
+     "b: missing values are not supported"),
+]
+
+
+def _with_cells(j, cells):
+    rows = [list(r) for r in TRAIN_CLEAN]
+    for row, cell in zip(rows, cells):
+        row[j] = cell
+    return Table(["c", "v", "b", "y"], [list(col) for col in zip(*rows)])
+
+
+@pytest.mark.parametrize("j, cells, train_message, serve_message", CELL_ERRORS)
+def test_bad_cells_raise_the_same_error_in_training_and_serving(
+    j, cells, train_message, serve_message
+):
+    descriptors = _binarize_quietly(_with_cells(0, ["a", "b", "a"]), SCHEMA).descriptors
+    table = _with_cells(j, cells)
+    with pytest.raises(DataError) as train_error:
+        _binarize_quietly(table, SCHEMA)
+    assert str(train_error.value) == train_message
+    with pytest.raises(DataError) as serve_error:
+        apply_descriptors(table, descriptors, "y")
+    assert str(serve_error.value) == serve_message
+
+
+def test_missing_column_raises_schema_error_in_training_and_serving():
+    table = _with_cells(0, ["a", "b", "a"])
+    descriptors = _binarize_quietly(table, SCHEMA).descriptors
+    without_v = Table(["c", "b", "y"], [table.column(n) for n in ("c", "b", "y")])
+    with pytest.raises(SchemaError) as train_error:
+        _binarize_quietly(without_v, SCHEMA)
+    assert str(train_error.value) == "schema names unknown column 'v'"
+    with pytest.raises(SchemaError) as serve_error:
+        apply_descriptors(without_v, descriptors)
+    assert str(serve_error.value) == "table lacks column 'v'"
+
+
+def test_serving_reports_the_first_bad_column_in_descriptor_order():
+    table = _with_cells(0, ["a", "b", "a"])
+    descriptors = _binarize_quietly(table, SCHEMA).descriptors
+    bad = Table(["c", "v", "b"], [["a", "", "a"], ["1", "x", "2"], ["1", "0", "1"]])
+    by_v_first = sorted(descriptors, key=lambda d: d.source_name != "v")
+    with pytest.raises(DataError, match="^c: missing"):
+        apply_descriptors(bad, descriptors)
+    with pytest.raises(DataError, match="^v: non-numeric value 'x'"):
+        apply_descriptors(bad, by_v_first)
+    without_c = Table(["v", "b"], bad.columns[1:])
+    with pytest.raises(SchemaError, match="lacks column 'c'"):
+        apply_descriptors(without_c, descriptors)
+    with pytest.raises(DataError, match="^v: non-numeric"):
+        apply_descriptors(without_c, by_v_first)
+
+
+def test_descriptors_reject_operands_that_match_no_cell():
+    for kind, operand in (
+        ("raw-binary", True),
+        ("raw-binary", False),
+        ("raw-binary", 2),
+        ("raw-binary", "1"),
+        ("raw-binary", 1.0),
+        ("categorical-eq", 7),
+        ("categorical-neq", None),
+    ):
+        with pytest.raises(SchemaError, match="operand"):
+            FeatureDescriptor("f", 0, "f", kind, operand)
+    FeatureDescriptor("f", 0, "f", "raw-binary", 0)
+    FeatureDescriptor("f", 0, "f", "categorical-eq", "7")
 
 
 def test_binary_dataset_row_bits():

@@ -149,6 +149,22 @@ def test_load_model_rejects_non_numeric_threshold(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_operands_of_the_wrong_type(tmp_path):
+    path, data, S, h = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    for kind, operand in (
+        ("raw-binary", True),
+        ("raw-binary", 2),
+        ("raw-binary", "1"),
+        ("categorical-eq", 7),
+        ("categorical-neq", None),
+    ):
+        features = [dict(doc["features"][0], kind=kind, operand=operand)]
+        path.write_text(json.dumps(dict(doc, features=features + doc["features"][1:])))
+        with pytest.raises(ModelFormatError, match="bad feature entry.*operand"):
+            load_model(path)
+
+
 def test_empty_model_roundtrip(tmp_path):
     rng = random.Random(1)
     data = random_dataset(rng, n=10, d=3)
