@@ -69,13 +69,12 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESETS, help="named objective preset")
     p.add_argument("--eta", type=float, default=None,
                    help="overlap price for the overlap-eta preset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="fold shuffle for evaluate; training is deterministic")
     p.add_argument("--no-refine", action="store_true", help="skip refinement")
     p.add_argument("--subproblem", choices=SUBPROBLEM_MODES, default="local")
     p.add_argument("--time-limit-secs", type=float, default=None,
                    help="per-solve limit for bnb-timed")
-    p.add_argument("--ds-restarts", type=int, default=1,
-                   help="descent restarts with shuffled chain permutations")
 
 
 def _load_table(args: argparse.Namespace) -> tuple[Table, dict[str, str], str]:
@@ -131,8 +130,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         subproblem=args.subproblem,
         time_limit=args.time_limit_secs,
         refine=not args.no_refine,
-        seed=args.seed,
-        ds_restarts=args.ds_restarts,
     )
 
 
@@ -236,7 +233,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         grid = default_grid(
             subproblem=args.subproblem,
             refine=not args.no_refine,
-            seed=args.seed,
             time_limit=args.time_limit_secs,
         )
     labels01 = [1 if v == "1" else 0 for v in table.column(label)]

@@ -147,7 +147,6 @@ def default_grid(
     active_size: int = 16,
     subproblem: str = "local",
     refine: bool = True,
-    seed: int = 0,
     time_limit: float | None = None,
 ) -> list[TrainConfig]:
     """The benchmark grid: beta0 = beta1 = 1 with the listed sweeps."""
@@ -167,7 +166,6 @@ def default_grid(
                         ),
                         subproblem=subproblem,
                         refine=refine,
-                        seed=seed,
                         time_limit=time_limit,
                     )
                 )

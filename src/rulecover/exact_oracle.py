@@ -16,7 +16,10 @@ lam*|R| length cost. The weights make each of these a loss: Hyperparams
 keeps beta0, beta2 and lam nonnegative, and build_instance requires
 pos_weight > 0. Pruning on the bound is therefore lossless and the search
 is exact unless the time limit interrupts it, which the result reports
-honestly.
+honestly. Before pricing a child R + c, the search drops it when even its
+support bound pos_ub[c] - lam*(|R|+1) cannot beat the incumbent (see
+SubproblemInstance.pos_ub); such a child could neither win nor be pushed,
+so the nodes visited and the rule found are unchanged.
 
 brute_force_ruleset_opt enumerates entire rule sets for tiny instances;
 it exists to pin down the outer greedy's quality in tests.
@@ -68,6 +71,8 @@ def bnb_max(
     cands.sort(key=lambda j: (-u_sing[j], j))
 
     columns = inst.columns
+    pos_ub = inst.pos_ub()
+    cand_ub = [pos_ub[j] for j in cands]
     pos_weight = inst.pos_weight
     beta0 = inst.beta0
     beta2 = inst.beta2
@@ -107,6 +112,11 @@ def bnb_max(
         children = []
         length = lam * (len(feats) + 1)
         for i in range(start, len(cands)):
+            # Support screen (SubproblemInstance.pos_ub): the child's value and
+            # key are at most cand_ub[i] - length <= best_v, so it could
+            # neither become the incumbent nor be pushed.
+            if cand_ub[i] - length <= best_v:
+                continue
             col = columns[cands[i]]
             cvp, cvc, cvn = vp & col, vc & col, vn & col
             gain = pos_weight * cvp.bit_count()

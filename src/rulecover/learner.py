@@ -15,11 +15,15 @@ Refinement then greedily grows the set at full weight (alpha = 1) and
 re-solves each rule's subproblem with the rule removed, keeping a
 replacement only when the recomputed V strictly improves, so V never
 decreases during refinement.
+
+Every rule solve is a pure function of its instance, which the rules
+already chosen fix only through the positives they cover (and alpha).
+train keeps one memo of solve results for the whole fit, so greedy and
+refine solve each instance once.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -48,16 +52,12 @@ class TrainConfig:
     subproblem: str = "local"
     time_limit: float | None = None
     refine: bool = True
-    seed: int = 0
-    ds_restarts: int = 1
 
     def __post_init__(self) -> None:
         if self.subproblem not in SUBPROBLEM_MODES:
             raise ConfigError(
                 f"unknown subproblem mode {self.subproblem!r}; choose from {SUBPROBLEM_MODES}"
             )
-        if self.ds_restarts < 1:
-            raise ConfigError("ds_restarts must be >= 1")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ConfigError("time_limit must be positive")
 
@@ -75,6 +75,7 @@ class IterationRecord:
     profit_after: float
     proven_optimal: bool | None = None
     bnb_nodes: int | None = None
+    cached: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -87,6 +88,7 @@ class IterationRecord:
             "profit_after": self.profit_after,
             "proven_optimal": self.proven_optimal,
             "bnb_nodes": self.bnb_nodes,
+            "cached": self.cached,
         }
 
 
@@ -110,9 +112,22 @@ class TrainReport:
 
     @property
     def bnb_nodes(self) -> int | None:
-        """Branch-and-bound nodes over the exact-mode solves; None if none."""
-        counts = [r.bnb_nodes for r in self.iterations if r.bnb_nodes is not None]
+        """Branch-and-bound nodes over the exact-mode solves actually run
+        (a cached record repeats its solve's count); None if none."""
+        counts = [
+            r.bnb_nodes for r in self.iterations if r.bnb_nodes is not None and not r.cached
+        ]
         return sum(counts) if counts else None
+
+    @property
+    def cached_solves(self) -> int:
+        """Solves answered from the fit's memo without solving."""
+        return sum(r.cached for r in self.iterations)
+
+    @property
+    def solves(self) -> int:
+        """Subproblems actually solved."""
+        return len(self.iterations) - self.cached_solves
 
     def as_dict(self) -> dict:
         return {
@@ -125,18 +140,22 @@ class TrainReport:
             "refine_passes": self.refine_passes,
             "all_proven": self.all_proven,
             "bnb_nodes": self.bnb_nodes,
+            "solves": self.solves,
+            "cached_solves": self.cached_solves,
         }
 
 
-def _solve_rule(
-    inst: SubproblemInstance, cfg: TrainConfig, rng: random.Random
-) -> tuple[tuple[int, ...], float, bool | None, int | None]:
-    """Dispatch one subproblem solve; returns (rule, v, proven, nodes), the
-    last two None for the local solver."""
+# A solve's result: (rule, v, proven, nodes), the last two None for the
+# local solver.
+Solution = tuple[tuple[int, ...], float, bool | None, int | None]
+# Solve results of one fit, keyed by (positives the rule set covers, alpha).
+SolveMemo = dict[tuple[int, float], Solution]
+
+
+def _solve_rule(inst: SubproblemInstance, cfg: TrainConfig) -> Solution:
+    """Dispatch one subproblem solve."""
     if cfg.subproblem == "local":
-        feats = local_combinatorial_search(
-            inst, m=cfg.hyperparams.active_size, ds_restarts=cfg.ds_restarts, rng=rng
-        )
+        feats = local_combinatorial_search(inst, m=cfg.hyperparams.active_size)
         return feats, inst.value(feats), None, None
     if cfg.subproblem == "bnb" and inst.d > BNB_EXACT_CAP:
         raise ConfigError(
@@ -148,6 +167,23 @@ def _solve_rule(
     return res.features, res.value, res.proven_optimal, res.nodes
 
 
+def _solve(
+    S: RuleSet, data: BinaryDataset, cfg: TrainConfig, alpha: float, memo: SolveMemo
+) -> tuple[Solution, bool]:
+    """The best next rule at weight alpha, and whether the memo held it.
+
+    build_instance weighs the rows by the positives S covers and by alpha
+    alone, so that pair identifies the instance within one fit. Under
+    bnb-timed a solve cut short by the clock is reused as it was.
+    """
+    key = (data.positives & S.covered, alpha)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit, True
+    memo[key] = _solve_rule(build_instance(S, data, cfg.hyperparams, alpha), cfg)
+    return memo[key], False
+
+
 def _alpha(k: int, K: int) -> float:
     return (1 - 1 / K) ** (K - k)
 
@@ -156,15 +192,14 @@ def _grow(
     S: RuleSet,
     data: BinaryDataset,
     cfg: TrainConfig,
-    rng: random.Random,
+    memo: SolveMemo,
     phase: str,
     step: int,
     alpha: float,
 ) -> IterationRecord:
     """Solve for the next rule at weight alpha and add it to S (in place)
     when its value is positive and it is not already in S."""
-    inst = build_instance(S, data, cfg.hyperparams, alpha)
-    feats, v, proven, nodes = _solve_rule(inst, cfg, rng)
+    (feats, v, proven, nodes), cached = _solve(S, data, cfg, alpha, memo)
     inserted = v > TOL and feats not in S.feature_sets()
     if inserted:
         S.add(Rule.build(feats, data))
@@ -178,21 +213,25 @@ def _grow(
         profit_after=profit(S, data, cfg.hyperparams),
         proven_optimal=proven,
         bnb_nodes=nodes,
+        cached=cached,
     )
 
 
 def distorted_greedy(
-    data: BinaryDataset, cfg: TrainConfig
+    data: BinaryDataset, cfg: TrainConfig, memo: SolveMemo | None = None
 ) -> tuple[RuleSet, TrainReport]:
-    """Select up to K rules with the distorted marginal-profit schedule."""
+    """Select up to K rules with the distorted marginal-profit schedule.
+
+    memo holds the fit's solve results (see _solve); a fresh one if None.
+    """
     h = cfg.hyperparams
-    rng = random.Random(cfg.seed)
+    memo = {} if memo is None else memo
     S = RuleSet()
     report = TrainReport()
     t0 = time.monotonic()
     for k in range(1, h.max_rules + 1):
         report.iterations.append(
-            _grow(S, data, cfg, rng, "greedy", k, _alpha(k, h.max_rules))
+            _grow(S, data, cfg, memo, "greedy", k, _alpha(k, h.max_rules))
         )
     report.greedy_seconds = time.monotonic() - t0
     report.greedy_profit = profit(S, data, h)
@@ -205,15 +244,17 @@ def refine(
     data: BinaryDataset,
     cfg: TrainConfig,
     report: TrainReport | None = None,
+    memo: SolveMemo | None = None,
 ) -> RuleSet:
     """Grow-then-replace passes at alpha = 1 until the set stops changing.
 
     Replacements (and pure drops) are kept only when the recomputed V
     strictly improves, otherwise reverted, so V is non-decreasing here
-    even though the subproblem solver is approximate.
+    even though the subproblem solver is approximate. memo is as in
+    distorted_greedy.
     """
     h = cfg.hyperparams
-    rng = random.Random(cfg.seed + 1)
+    memo = {} if memo is None else memo
     S = S.copy()
     t0 = time.monotonic()
     passes = 0
@@ -224,7 +265,7 @@ def refine(
 
         # Grow: fill remaining rule budget at full coverage weight.
         for step in range(len(S), h.max_rules):
-            record = _grow(S, data, cfg, rng, "refine-grow", step + 1, 1.0)
+            record = _grow(S, data, cfg, memo, "refine-grow", step + 1, 1.0)
             if report is not None:
                 report.iterations.append(record)
             if not record.inserted:
@@ -238,8 +279,7 @@ def refine(
                 continue
             v_before = profit(S, data, h)
             S.remove(old)
-            inst = build_instance(S, data, h, 1.0)
-            feats, v, proven, nodes = _solve_rule(inst, cfg, rng)
+            (feats, v, proven, nodes), cached = _solve(S, data, cfg, 1.0, memo)
             replaced = False
             if v > TOL and feats not in S.feature_sets():
                 S.add(Rule.build(feats, data))
@@ -262,6 +302,7 @@ def refine(
                         profit_after=profit(S, data, h),
                         proven_optimal=proven,
                         bnb_nodes=nodes,
+                        cached=cached,
                     )
                 )
         if set(S.feature_sets()) == before:
@@ -278,9 +319,10 @@ def refine(
 
 def train(data: BinaryDataset, cfg: TrainConfig) -> tuple[RuleSet, TrainReport]:
     """Distorted greedy plus optional refinement; the standard entry point."""
-    S, report = distorted_greedy(data, cfg)
+    memo: SolveMemo = {}
+    S, report = distorted_greedy(data, cfg, memo)
     if cfg.refine:
-        S = refine(S, data, cfg, report)
+        S = refine(S, data, cfg, report, memo)
     return S, report
 
 

@@ -23,7 +23,6 @@ search round out the rule finder.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -152,6 +151,7 @@ class SubproblemInstance:
     w: ExclusionCoverage
 
     _w_full_loo: list[float] | None = field(default=None, repr=False)
+    _pos_ub: list[float] | None = field(default=None, repr=False)
 
     @property
     def d(self) -> int:
@@ -180,6 +180,24 @@ class SubproblemInstance:
     def value(self, features: Sequence[int]) -> float:
         """v(R) for a rule given as sorted distinct feature indices."""
         return self.score(*self.cover(features), len(features))
+
+    def pos_ub(self) -> list[float]:
+        """pos_weight * |uncovered positives in column j| for every j, cached.
+
+        A rule holding j covers a subset of those rows, so any rule of
+        length k holding j has v <= pos_ub[j] - lam*k (CORELS' minimum
+        support bound, Angelino et al. 2017). The bound also holds for the
+        rounded values: score() computes ((p - c) - n) - l with the same
+        rounded products p <= pos_ub[j] (rounded x is monotone) and l, and
+        c, n >= 0; rounded - is monotone in its left operand and never
+        rounds x - c above x. So a scan may skip j when pos_ub[j] - lam*k,
+        written in the same operation order as the exact test it guards,
+        already fails that test.
+        """
+        if self._pos_ub is None:
+            pw, uncovered = self.pos_weight, self.uncovered_pos
+            self._pos_ub = [pw * (uncovered & col).bit_count() for col in self.columns]
+        return self._pos_ub
 
     def u_of(self, features: Sequence[int]) -> float:
         return self.u.value(features)
@@ -246,20 +264,12 @@ def build_instance(
     )
 
 
-def chain_permutation(
-    features: Sequence[int], d: int, rng: random.Random | None = None
-) -> list[int]:
-    """Ground-set order starting with the rule's features.
-
-    Deterministic without an rng (features ascending, then the rest
-    ascending); shuffled within the two blocks otherwise. Keeping the
-    rule's features first makes the chain bound tight at the rule.
-    """
+def chain_permutation(features: Sequence[int], d: int) -> list[int]:
+    """Ground-set order: the rule's features ascending, then the rest
+    ascending. Keeping the rule's features first makes the chain bound
+    tight at the rule."""
     inside = sorted(features)
     rest = [j for j in range(d) if j not in set(inside)]
-    if rng is not None:
-        rng.shuffle(inside)
-        rng.shuffle(rest)
     return inside + rest
 
 
@@ -271,8 +281,6 @@ def ds_opt(
     features: Sequence[int],
     inst: SubproblemInstance,
     *,
-    restarts: int = 1,
-    rng: random.Random | None = None,
     trace: list[float] | None = None,
 ) -> tuple[int, ...]:
     """Difference-of-submodular descent from the given rule.
@@ -284,37 +292,10 @@ def ds_opt(
       m2: w(j | everything else) inside R, w(j | R) outside
 
     The better candidate is taken while it improves v by more than the
-    tolerance. Additional restarts rerun the descent with the chain
-    permutation shuffled; the best fixed point wins.
+    tolerance.
     """
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
     d = inst.d
-    start = tuple(sorted(set(features)))
-    best: tuple[int, ...] | None = None
-    best_v = -INF
-    for t in range(restarts):
-        perm_rng = None
-        if t > 0:
-            seed = rng.getrandbits(32) if rng is not None else t
-            perm_rng = random.Random(seed)
-        # Only the deterministic first descent is traced; later restarts
-        # begin back at the start value and would break monotone logs.
-        r, v_r = _descend(start, inst, perm_rng, trace if t == 0 else None)
-        if v_r > best_v + TOL:
-            best, best_v = r, v_r
-    assert best is not None
-    return best
-
-
-def _descend(
-    start: tuple[int, ...],
-    inst: SubproblemInstance,
-    perm_rng: random.Random | None,
-    trace: list[float] | None,
-) -> tuple[tuple[int, ...], float]:
-    d = inst.d
-    r = start
+    r = tuple(sorted(set(features)))
     v_r = inst.value(r)
     if trace is not None:
         trace.append(v_r)
@@ -322,8 +303,7 @@ def _descend(
     w_sing = inst.w.singletons()
     w_full_loo = inst.w_full_loo()
     for _ in range(cap):
-        perm = chain_permutation(r, d, perm_rng)
-        hv = inst.u.chain_gains(perm)
+        hv = inst.u.chain_gains(chain_permutation(r, d))
         w_loo_r = inst.w.loo_marginals(r)
         w_given_r = inst.w.marginals_given(r)
         in_r = set(r)
@@ -348,7 +328,7 @@ def _descend(
             if trace is not None:
                 trace.append(v_r)
         else:
-            return r, v_r
+            return r
     raise RuntimeError("descent failed to reach a fixed point within the iteration cap")
 
 
@@ -400,13 +380,11 @@ def enlarge(
     return tuple(sorted(r))
 
 
-def best_subset(
-    active: Sequence[int], inst: SubproblemInstance, time_limit: float | None = None
-) -> tuple[int, ...]:
+def best_subset(active: Sequence[int], inst: SubproblemInstance) -> tuple[int, ...]:
     """Exact v-maximizing subset of the active features."""
     from .exact_oracle import bnb_max
 
-    return bnb_max(inst, active, time_limit).features
+    return bnb_max(inst, active).features
 
 
 def swap_local_search(
@@ -425,6 +403,10 @@ def swap_local_search(
     d = inst.d
     columns = inst.columns
     cover, score = inst.cover, inst.score
+    lam = inst.lam
+    # Candidates whose support bound fails a scan's test are skipped before
+    # their three ANDs (see SubproblemInstance.pos_ub); scan order is kept.
+    pos_ub = inst.pos_ub()
     r = sorted(set(features))
 
     cap = _iteration_cap(d)
@@ -438,8 +420,9 @@ def swap_local_search(
         while grew:
             grew = False
             in_r = set(r)
+            add_cost = lam * (len(r) + 1)
             for j in range(d):
-                if j in in_r:
+                if j in in_r or (pos_ub[j] - add_cost) - v_r <= TOL:
                     continue
                 col = columns[j]
                 nvp, nvc, nvn = vp & col, vc & col, vn & col
@@ -447,6 +430,7 @@ def swap_local_search(
                 if gain > TOL:
                     r.append(j)
                     in_r.add(j)
+                    add_cost = lam * (len(r) + 1)
                     vp, vc, vn = nvp, nvc, nvn
                     v_r += gain
                     changed = grew = True
@@ -476,16 +460,20 @@ def swap_local_search(
         while swapped:
             swapped = False
             in_r = set(r)
+            # The screen depends on neither the feature swapped out nor the
+            # position in the scan, so it runs once per sweep.
+            swap_cost, limit = lam * len(r), v_r + TOL
+            incoming = [
+                b for b in range(d) if b not in in_r and pos_ub[b] - swap_cost > limit
+            ]
             for a in list(r):
                 rest = [x for x in r if x != a]
                 bvp, bvc, bvn = cover(rest)
                 found = False
-                for b in range(d):
-                    if b in in_r:
-                        continue
+                for b in incoming:
                     col = columns[b]
                     v_new = score(bvp & col, bvc & col, bvn & col, len(r))
-                    if v_new > v_r + TOL:
+                    if v_new > limit:
                         r = sorted(rest + [b])
                         vp, vc, vn = cover(r)
                         v_r = v_new
@@ -505,8 +493,6 @@ def local_combinatorial_search(
     inst: SubproblemInstance,
     m: int = 16,
     *,
-    ds_restarts: int = 1,
-    rng: random.Random | None = None,
     trace: list[float] | None = None,
 ) -> tuple[int, ...]:
     """Full single-rule search from the empty rule.
@@ -529,7 +515,7 @@ def local_combinatorial_search(
             r = best_subset(active, inst)
             if trace is not None:
                 trace.append(inst.value(r))
-        r = ds_opt(r, inst, restarts=ds_restarts, rng=rng, trace=trace)
+        r = ds_opt(r, inst, trace=trace)
         r = swap_local_search(r, inst, trace=trace)
         if r == prev:
             return r

@@ -56,6 +56,27 @@ def random_instance(rng: random.Random, n_max: int = 40, d_max: int = 10):
     return build_instance(S, data, h, alpha), data, h, S, alpha
 
 
+def tied_instance(rng: random.Random, n_max: int = 40, d_max: int = 10):
+    """Instance with small integer weights at alpha = 1, so that many rules
+    tie exactly and every value is an exact float."""
+    n = rng.randint(4, n_max)
+    d = rng.randint(2, d_max)
+    data = random_dataset(rng, n, d, density=rng.uniform(0.3, 0.9))
+    beta2 = rng.choice([0, 1])
+    h = Hyperparams(
+        beta0=rng.choice([0, 1, 2]),
+        beta1=rng.choice([1, 2]) + beta2,
+        beta2=beta2,
+        lam=rng.choice([0, 1, 2]),
+    )
+    S = RuleSet()
+    for _ in range(rng.randint(0, 2)):
+        rule = Rule.build(sorted(rng.sample(range(d), rng.randint(1, 2))), data)
+        if rule not in S:
+            S.add(rule)
+    return build_instance(S, data, h, 1.0)
+
+
 def random_rule_features(rng: random.Random, d: int, k_max: int = 4) -> tuple[int, ...]:
     k = rng.randint(0, min(k_max, d))
     return tuple(sorted(rng.sample(range(d), k)))

@@ -91,6 +91,13 @@ def test_train_predict_roundtrip(tmp_path, capsys):
     assert report["iterations"]
     assert report["bnb_nodes"] is None
     assert all(it["bnb_nodes"] is None for it in report["iterations"])
+    # Greedy's last step already solved refine's first grow instance (alpha
+    # 1, same rule set), so the memo answers it.
+    cached = [it["cached"] for it in report["iterations"]]
+    assert [it["phase"] for it in report["iterations"]][3:5] == ["greedy", "refine-grow"]
+    assert cached == [False, False, False, False, True, False]
+    assert report["cached_solves"] == 1
+    assert report["solves"] == 5
 
     rc = run(
         [

@@ -121,10 +121,12 @@ def test_binarize_numeric_ten_distinct_values_gives_eighteen_features():
 
 
 def test_binarize_numeric_skips_degenerate_thresholds():
-    # nine copies of 1.0 and a single 5.0: the 0.9 cut at 5.0 would make
-    # "v <= 5" constant-true, so only the 1.0 cut survives
-    rows = [["1", "0"]] * 9 + [["5", "1"]]
+    # eight copies of 1.0 and two of 5.0: the 0.9 decile is the column
+    # maximum 5.0, whose cut would make "v <= 5" constant-true, so only the
+    # 1.0 cut survives
+    rows = [["1", "0"]] * 8 + [["5", "1"]] * 2
     table = make_table(["v", "y"], rows)
+    assert decile_cuts([1.0] * 8 + [5.0] * 2) == [1.0, 5.0]
     data = binarize(table, {"v": NUMERIC, "y": LABEL})
     assert data.feature_names() == ["v <= 1", "v > 1"]
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_dataset, random_instance
+from conftest import random_dataset, random_instance, tied_instance
 from rulecover.dataset import BinaryDataset
 from rulecover.exact_oracle import (
     BnbResult,
@@ -13,7 +13,7 @@ from rulecover.exact_oracle import (
     brute_force_ruleset_opt,
     enumerate_best,
 )
-from rulecover.objective import ConfigError, Hyperparams, Rule, RuleSet, profit
+from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet, profit
 from rulecover.subproblem import build_instance
 
 
@@ -105,6 +105,68 @@ def test_bnb_matches_enumeration_when_suffix_terms_prune():
         assert res.proven_optimal
         assert res.value == pytest.approx(best_v, abs=1e-9)
         assert inst.value(res.features) == res.value
+
+
+def unscreened_bnb(inst, candidates):
+    """bnb_max without the support screen: every child is priced with its
+    three ANDs. Returns (features, value, nodes)."""
+    u_sing = inst.u.singletons()
+    cands = sorted(set(candidates), key=lambda j: (-u_sing[j], j))
+    columns, pw, lam = inst.columns, inst.pos_weight, inst.lam
+    suffix_and = [(1 << inst.n) - 1] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix_and[i] = suffix_and[i + 1] & columns[cands[i]]
+    vp0, vc0, vn0 = inst.uncovered_pos, inst.covered_pos, inst.negatives
+    best_feats, best_v, nodes = (), inst.score(vp0, vc0, vn0, 0), 0
+    root = pw * vp0.bit_count()
+    stack = [(root, root, 0, (), vp0, vc0, vn0)]
+    while stack:
+        _, bound, start, feats, vp, vc, vn = stack.pop()
+        if bound <= best_v + TOL:
+            continue
+        nodes += 1
+        children = []
+        length = lam * (len(feats) + 1)
+        for i in range(start, len(cands)):
+            col = columns[cands[i]]
+            cvp, cvc, cvn = vp & col, vc & col, vn & col
+            gain = pw * cvp.bit_count()
+            v_child = gain - inst.beta2 * cvc.bit_count() - inst.beta0 * cvn.bit_count() - length
+            if v_child > best_v:
+                best_v, best_feats = v_child, feats + (cands[i],)
+            key = gain - length
+            if key > best_v + TOL:
+                suf = suffix_and[i + 1]
+                child_bound = (gain - inst.beta2 * (cvc & suf).bit_count()
+                               - inst.beta0 * (cvn & suf).bit_count() - length)
+                if child_bound > best_v + TOL:
+                    children.append((key, child_bound, i + 1, feats + (cands[i],),
+                                     cvp, cvc, cvn))
+        children.sort(key=lambda c: c[0])
+        stack.extend(children)
+    return tuple(sorted(best_feats)), best_v, nodes
+
+
+def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
+    # Integer weights make many subsets tie exactly with the incumbent, the
+    # case where a screen that skipped a child whose value equals best_v
+    # plus a little would pick another rule or visit other nodes.
+    rng = random.Random(25)
+    for case in range(300):
+        if case % 3:
+            inst = tied_instance(rng, n_max=60, d_max=12)
+        else:
+            inst, *_ = random_instance(rng, n_max=60, d_max=12)
+        cands = sorted(rng.sample(range(inst.d), rng.randint(0, inst.d)))
+        res = bnb_max(inst, cands)
+        assert (res.features, res.value, res.nodes) == unscreened_bnb(inst, cands)
+        feats, best_v = enumerate_best(inst, cands)
+        assert res.proven_optimal
+        assert inst.value(res.features) == res.value
+        if case % 3:
+            assert res.value == best_v
+        else:
+            assert res.value == pytest.approx(best_v, abs=1e-9)
 
 
 # The suffix bound visits 5,953 nodes on this instance; the bound without

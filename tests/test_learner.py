@@ -9,6 +9,7 @@ from conftest import random_dataset, random_hyperparams
 from rulecover.dataset import BinaryDataset, binarize
 from rulecover.datasets import table_three_tic_tac_toe_rules, tic_tac_toe
 from rulecover.exact_oracle import brute_force_ruleset_opt
+from rulecover import learner
 from rulecover.learner import (
     SUBPROBLEM_MODES,
     TrainConfig,
@@ -42,8 +43,6 @@ def test_train_config_validation():
         TrainConfig(subproblem=mode)
     with pytest.raises(ConfigError):
         TrainConfig(subproblem="exact")
-    with pytest.raises(ConfigError):
-        TrainConfig(ds_restarts=0)
     with pytest.raises(ConfigError):
         TrainConfig(time_limit=0.0)
 
@@ -79,7 +78,7 @@ def test_greedy_is_deterministic():
     rng = random.Random(3)
     data = random_dataset(rng, n=40, d=9)
     h = random_hyperparams(rng)
-    cfg = TrainConfig(hyperparams=h, seed=7)
+    cfg = TrainConfig(hyperparams=h)
     S1, r1 = distorted_greedy(data, cfg)
     S2, r2 = distorted_greedy(data, cfg)
     assert S1.feature_sets() == S2.feature_sets()
@@ -137,11 +136,55 @@ def test_report_counts_bnb_nodes_of_exact_solves_only():
     assert local.bnb_nodes is None and local.as_dict()["bnb_nodes"] is None
     _, exact = train(data, TrainConfig(subproblem="bnb"))
     assert all(r.bnb_nodes >= 1 for r in exact.iterations)
-    assert exact.bnb_nodes == sum(r.bnb_nodes for r in exact.iterations)
+    # A cached record repeats the node count of the solve it reuses; the
+    # total counts only the solves that ran.
+    run = [r for r in exact.iterations if not r.cached]
+    assert 0 < len(run) < len(exact.iterations)
+    assert exact.bnb_nodes == sum(r.bnb_nodes for r in run)
     assert exact.as_dict()["bnb_nodes"] == exact.bnb_nodes
+    assert exact.as_dict()["solves"] == exact.solves == len(run)
+    assert exact.as_dict()["cached_solves"] == exact.cached_solves
+    assert exact.solves + exact.cached_solves == len(exact.iterations)
     assert [r.as_dict()["bnb_nodes"] for r in exact.iterations] == [
         r.bnb_nodes for r in exact.iterations
     ]
+
+
+def _report_less_timing_and_cache(report):
+    out = report.as_dict()
+    for key in ("greedy_seconds", "refine_seconds", "fit_seconds", "solves",
+                "cached_solves", "bnb_nodes"):
+        del out[key]
+    for it in out["iterations"]:
+        del it["cached"]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["local", "bnb"])
+def test_solve_memo_changes_no_result(monkeypatch, mode):
+    rng = random.Random(14)
+    cases = []
+    for _ in range(20):
+        data = random_dataset(rng, n=rng.randint(20, 50), d=rng.randint(3, 9))
+        cases.append((data, TrainConfig(hyperparams=random_hyperparams(rng), subproblem=mode)))
+    memoized = [train(data, cfg) for data, cfg in cases]
+
+    # A fresh memo per solve: every instance is solved again.
+    solve = learner._solve
+    monkeypatch.setattr(
+        learner, "_solve", lambda S, data, cfg, alpha, memo: solve(S, data, cfg, alpha, {})
+    )
+    hits = 0
+    for (data, cfg), (S_memo, rep_memo) in zip(cases, memoized):
+        S, rep = train(data, cfg)
+        assert S.feature_sets() == S_memo.feature_sets()
+        assert _report_less_timing_and_cache(rep) == _report_less_timing_and_cache(rep_memo)
+        assert rep.cached_solves == 0
+        assert rep.solves == rep_memo.solves + rep_memo.cached_solves
+        if mode == "bnb":
+            assert rep.bnb_nodes == sum(r.bnb_nodes for r in rep_memo.iterations)
+        hits += rep_memo.cached_solves
+    assert hits >= 1
 
 
 def test_refine_never_lowers_profit():
@@ -177,7 +220,7 @@ def test_train_matches_greedy_plus_refine():
     rng = random.Random(10)
     data = random_dataset(rng, n=30, d=7)
     h = random_hyperparams(rng)
-    cfg = TrainConfig(hyperparams=h, seed=3)
+    cfg = TrainConfig(hyperparams=h)
     S_all, rep_all = train(data, cfg)
     S_g, rep_g = distorted_greedy(data, cfg)
     S_r = refine(S_g, data, cfg)

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import enumerate_rule_optimum, random_instance, ref_rule_value
+from conftest import enumerate_rule_optimum, random_instance, ref_rule_value, tied_instance
 from rulecover.dataset import BinaryDataset
-from rulecover.objective import ConfigError, Hyperparams, Rule, RuleSet
+from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet
 from rulecover.subproblem import (
     ExclusionCoverage,
     build_instance,
@@ -170,13 +170,6 @@ def test_chain_permutation_deterministic_layout():
     assert chain_permutation((), 3) == [0, 1, 2]
 
 
-def test_chain_permutation_shuffles_within_blocks():
-    rng = random.Random(12)
-    perm = chain_permutation((2, 5, 7), 10, rng)
-    assert sorted(perm[:3]) == [2, 5, 7]
-    assert sorted(perm[3:]) == [0, 1, 3, 4, 6, 8, 9]
-
-
 def test_ds_opt_finds_clean_single_feature_rule():
     # feature 0 covers both positives and excludes both negatives; with a
     # small literal price the descent must pick it up from the empty rule
@@ -208,20 +201,6 @@ def test_ds_opt_trace_is_monotone():
         assert trace, "descent must log its starting value"
         for a, b in zip(trace, trace[1:]):
             assert b >= a - 1e-9
-
-
-def test_ds_opt_restarts_keep_best_and_stay_deterministic():
-    rng_a = random.Random(15)
-    rng_b = random.Random(15)
-    rng_cases = random.Random(16)
-    for _ in range(20):
-        inst, *_ = random_instance(rng_cases)
-        r1 = ds_opt((), inst, restarts=3, rng=rng_a)
-        r2 = ds_opt((), inst, restarts=3, rng=rng_b)
-        assert r1 == r2
-        assert inst.value(r1) >= inst.value(ds_opt((), inst)) - 1e-9
-    with pytest.raises(ConfigError):
-        ds_opt((), inst, restarts=0)
 
 
 def test_enlarge_prefers_higher_gain_ratio():
@@ -321,6 +300,101 @@ def test_swap_search_never_decreases_value():
         assert inst.value(out) >= inst.value(start) - 1e-9
         for a, b in zip(trace, trace[1:]):
             assert b >= a - 1e-9
+
+
+def unscreened_swap_search(features, inst, trace):
+    """swap_local_search without the support screen: every add and swap
+    candidate is priced with its three ANDs."""
+    d, columns, cover, score = inst.d, inst.columns, inst.cover, inst.score
+    r = sorted(set(features))
+    while True:
+        changed = False
+        vp, vc, vn = cover(r)
+        v_r = score(vp, vc, vn, len(r))
+        grew = True
+        while grew:
+            grew = False
+            for j in range(d):
+                if j in r:
+                    continue
+                col = columns[j]
+                nvp, nvc, nvn = vp & col, vc & col, vn & col
+                gain = score(nvp, nvc, nvn, len(r) + 1) - v_r
+                if gain > TOL:
+                    r.append(j)
+                    vp, vc, vn = nvp, nvc, nvn
+                    v_r += gain
+                    changed = grew = True
+                    trace.append(v_r)
+        r.sort()
+        shrunk = True
+        while shrunk:
+            shrunk = False
+            for j in list(r):
+                rest = [x for x in r if x != j]
+                bvp, bvc, bvn = cover(rest)
+                v_rest = score(bvp, bvc, bvn, len(rest))
+                if v_r - v_rest <= TOL:
+                    r, (vp, vc, vn), v_r = rest, (bvp, bvc, bvn), v_rest
+                    changed = shrunk = True
+                    trace.append(v_r)
+                    break
+        swapped = True
+        while swapped:
+            swapped = False
+            for a in list(r):
+                rest = [x for x in r if x != a]
+                bvp, bvc, bvn = cover(rest)
+                for b in range(d):
+                    if b in r:
+                        continue
+                    col = columns[b]
+                    v_new = score(bvp & col, bvc & col, bvn & col, len(r))
+                    if v_new > v_r + TOL:
+                        r = sorted(rest + [b])
+                        vp, vc, vn = cover(r)
+                        v_r = v_new
+                        changed = swapped = True
+                        trace.append(v_r)
+                        break
+                if swapped:
+                    break
+        if not changed:
+            return tuple(r)
+
+
+def test_swap_screen_changes_no_step_of_the_search():
+    # Float weights, and small integer weights where many candidates tie
+    # exactly with the current rule: the screen must skip only candidates
+    # the exact test rejects, so every step and the result are unchanged.
+    rng = random.Random(23)
+    screened = 0
+    for case in range(400):
+        if case % 2:
+            inst = tied_instance(rng, n_max=40, d_max=12)
+        else:
+            inst, *_ = random_instance(rng, d_max=12)
+        start = tuple(sorted(rng.sample(range(inst.d), rng.randint(0, min(4, inst.d)))))
+        got_trace, want_trace = [], []
+        got = swap_local_search(start, inst, trace=got_trace)
+        assert got == unscreened_swap_search(start, inst, want_trace)
+        assert got_trace == want_trace
+        pos_ub = inst.pos_ub()
+        screened += sum(pos_ub[j] - inst.lam * (len(got) + 1) - inst.value(got) <= TOL
+                        for j in range(inst.d) if j not in got)
+    assert screened > 1000
+
+
+def test_pos_ub_bounds_every_rule_holding_the_feature():
+    rng = random.Random(24)
+    for case in range(200):
+        inst = tied_instance(rng) if case % 2 else random_instance(rng)[0]
+        pos_ub = inst.pos_ub()
+        assert inst.pos_ub() is pos_ub
+        for _ in range(10):
+            rule = sorted(rng.sample(range(inst.d), rng.randint(1, inst.d)))
+            for j in rule:
+                assert inst.value(rule) <= pos_ub[j] - inst.lam * len(rule)
 
 
 def test_local_search_matches_enumeration_on_small_instances():
