@@ -273,7 +273,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_gap(args: argparse.Namespace) -> int:
     table, schema, _ = _load_table(args)
     data = binarize(table, schema)
-    cfg = _train_config(args)
+    # relative_gap picks both runs' solvers; the limit goes to the exact one.
+    cfg = TrainConfig(hyperparams=_hyperparams(args), refine=not args.no_refine)
     result = relative_gap(data, cfg, args.time_limit_secs)
     doc = result.as_dict()
     if args.out and args.out != "-":

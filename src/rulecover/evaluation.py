@@ -285,7 +285,7 @@ def relative_gap(
     run is untimed when bnb_time_limit is None and proven_optimal then
     reports whether every solve finished.
     """
-    approx_cfg = replace(cfg, subproblem="local")
+    approx_cfg = replace(cfg, subproblem="local", time_limit=None)
     bnb_cfg = replace(cfg, subproblem="bnb-timed", time_limit=bnb_time_limit)
     S_approx, _ = train(data, approx_cfg)
     S_bnb, report_bnb = train(data, bnb_cfg)

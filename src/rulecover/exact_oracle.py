@@ -21,6 +21,19 @@ support bound pos_ub[c] - lam*(|R|+1) cannot beat the incumbent (see
 SubproblemInstance.pos_ub); such a child could neither win nor be pushed,
 so the nodes visited and the rule found are unchanged.
 
+A seed, a known rule over the candidates, warm-starts the search: the
+incumbent value starts at v(seed) - SEED_MARGIN when that is above
+v(empty), while the incumbent rule stays the empty one. The margin
+exceeds TOL, so a node pruned only because of the seed has bound <=
+v(seed) - SEED_MARGIN + TOL < v(seed) <= v(optimum): nothing under it is
+an optimum or could have lifted the unseeded incumbent to v(seed). Every
+rule worth at least v(seed) is therefore still priced, in the same DFS
+order, and the strict > in the update still keeps the first of them to
+reach the optimum, so the rule returned is unchanged and the nodes
+visited are a subset of the unseeded ones. A search that ends, or is cut
+short, with its incumbent below v(seed) returns the seed, so a cut-short
+search is never worse than its seed.
+
 brute_force_ruleset_opt enumerates entire rule sets for tiny instances;
 it exists to pin down the outer greedy's quality in tests.
 """
@@ -40,6 +53,9 @@ if TYPE_CHECKING:
     from .subproblem import SubproblemInstance
 
 _TIME_CHECK_EVERY = 256
+# How far below v(seed) a seeded search starts its incumbent; above TOL, so
+# that the first optimum in DFS order is still found (module docstring).
+SEED_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,7 @@ def bnb_max(
     inst: "SubproblemInstance",
     candidates: Sequence[int],
     time_limit: float | None = None,
+    seed: Sequence[int] | None = None,
 ) -> BnbResult:
     """Best rule over subsets of the candidate features.
 
@@ -62,11 +79,17 @@ def bnb_max(
     pos_weight*|vp| - lam*|R|. A node is pruned when its bound (module
     docstring) cannot beat the incumbent by more than the tolerance, so
     ties keep the first-found rule and the search is deterministic. With
-    no time limit the result is provably optimal.
+    no time limit the result is provably optimal. A seed, a rule over the
+    candidates, only prunes more: the rule found is the unseeded one,
+    except that a search ending below v(seed) returns the seed.
     """
     cands = sorted(set(candidates))
     if any(j < 0 or j >= inst.d for j in cands):
         raise ConfigError(f"candidate index out of range for d={inst.d}")
+    if seed is not None:
+        seed = tuple(sorted(set(seed)))
+        if not set(seed) <= set(cands):
+            raise ConfigError("seed rule must use candidate features only")
     u_sing = inst.u.singletons()
     cands.sort(key=lambda j: (-u_sing[j], j))
 
@@ -81,6 +104,9 @@ def bnb_max(
     vp0, vc0, vn0 = inst.uncovered_pos, inst.covered_pos, inst.negatives
     best_feats: tuple[int, ...] = ()
     best_v = inst.score(vp0, vc0, vn0, 0)
+    if seed is not None:
+        v_seed = inst.value(seed)
+        best_v = max(best_v, v_seed - SEED_MARGIN)
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     timed_out = False
@@ -144,6 +170,8 @@ def bnb_max(
         children.sort(key=lambda c: c[0])
         stack.extend(children)
 
+    if seed is not None and best_v < v_seed:
+        best_feats, best_v = seed, v_seed
     return BnbResult(
         features=tuple(sorted(best_feats)),
         value=best_v,

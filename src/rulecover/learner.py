@@ -60,6 +60,11 @@ class TrainConfig:
             )
         if self.time_limit is not None and self.time_limit <= 0:
             raise ConfigError("time_limit must be positive")
+        if self.time_limit is not None and self.subproblem != "bnb-timed":
+            raise ConfigError(
+                f"time_limit applies only to subproblem mode 'bnb-timed', "
+                f"not {self.subproblem!r}"
+            )
 
 
 @dataclass
@@ -153,17 +158,21 @@ SolveMemo = dict[tuple[int, float], Solution]
 
 
 def _solve_rule(inst: SubproblemInstance, cfg: TrainConfig) -> Solution:
-    """Dispatch one subproblem solve."""
-    if cfg.subproblem == "local":
-        feats = local_combinatorial_search(inst, m=cfg.hyperparams.active_size)
-        return feats, inst.value(feats), None, None
+    """Dispatch one subproblem solve.
+
+    Exact modes seed branch and bound with the local solver's rule, which
+    leaves the rule found unchanged (exact_oracle) and makes a solve cut
+    short by the time limit never worse than the local one.
+    """
     if cfg.subproblem == "bnb" and inst.d > BNB_EXACT_CAP:
         raise ConfigError(
             f"subproblem mode 'bnb' allows at most {BNB_EXACT_CAP} features, "
             f"got {inst.d}; use 'bnb-timed' or 'local'"
         )
-    limit = cfg.time_limit if cfg.subproblem == "bnb-timed" else None
-    res = bnb_max(inst, range(inst.d), limit)
+    feats = local_combinatorial_search(inst, m=cfg.hyperparams.active_size)
+    if cfg.subproblem == "local":
+        return feats, inst.value(feats), None, None
+    res = bnb_max(inst, range(inst.d), cfg.time_limit, seed=feats)
     return res.features, res.value, res.proven_optimal, res.nodes
 
 

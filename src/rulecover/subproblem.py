@@ -19,6 +19,23 @@ w by one of two modular upper bounds, and move to the best modular
 maximizer while it strictly improves v. A greedy ratio heuristic
 (enlarge), an exact search over a small active set, and a swap local
 search round out the rule finder.
+
+local_combinatorial_search runs rounds of enlarge, exact search over the
+active set, descent and swap search. A round's result is a pure function
+of its active set: best_subset, ds_opt and swap_local_search are
+deterministic and read only the instance and their input. Two rules
+therefore skip work without changing any result:
+
+  - a round whose active set equals the previous round's would end on the
+    rule the previous round ended on, the current one, so the search
+    returns that rule at once;
+  - enlarge's next choice depends only on the set chosen so far and its
+    cover masks, so enlarge from any set on the last enlarge call's path
+    (its start set plus a prefix of the features it added, in order)
+    reaches the same active set, which is reused without calling enlarge.
+
+The exact search is seeded with the best rule on that path, which holds
+the rule the round starts from; a seed changes no rule bnb_max returns.
 """
 
 from __future__ import annotations
@@ -333,7 +350,11 @@ def ds_opt(
 
 
 def enlarge(
-    features: Sequence[int], m: int, inst: SubproblemInstance
+    features: Sequence[int],
+    m: int,
+    inst: SubproblemInstance,
+    *,
+    path: list[int] | None = None,
 ) -> tuple[int, ...]:
     """Grow the rule to min(m, d) features by best gain ratio.
 
@@ -341,7 +362,8 @@ def enlarge(
     current rule; a zero w-gain counts as +inf when the u-gain is
     positive and -inf otherwise. Ties keep the lowest index. Features are
     added unconditionally, so the result can be worse than the input;
-    callers re-optimize over the enlarged active set.
+    callers re-optimize over the enlarged active set. path, when given,
+    receives the added features in the order they were added.
     """
     if m < 1:
         raise ConfigError("active set size must be >= 1")
@@ -374,17 +396,22 @@ def enlarge(
         col = columns[best_j]
         r.append(best_j)
         in_r.add(best_j)
+        if path is not None:
+            path.append(best_j)
         vp &= col
         vc &= col
         vn &= col
     return tuple(sorted(r))
 
 
-def best_subset(active: Sequence[int], inst: SubproblemInstance) -> tuple[int, ...]:
-    """Exact v-maximizing subset of the active features."""
+def best_subset(
+    active: Sequence[int], inst: SubproblemInstance, seed: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    """Exact v-maximizing subset of the active features; seed, a subset of
+    them, warm-starts the search without changing its result (bnb_max)."""
     from .exact_oracle import bnb_max
 
-    return bnb_max(inst, active).features
+    return bnb_max(inst, active, seed=seed).features
 
 
 def swap_local_search(
@@ -489,6 +516,27 @@ def swap_local_search(
     raise RuntimeError("swap search failed to reach a fixed point within the iteration cap")
 
 
+def _best_prefix(start: Sequence[int], path: Sequence[int], inst: SubproblemInstance):
+    """The best rule among start plus each prefix of path (ties: shortest)."""
+    rule = sorted(start)
+    vp, vc, vn = inst.cover(rule)
+    best, best_v = tuple(rule), inst.score(vp, vc, vn, len(rule))
+    for j in path:
+        col = inst.columns[j]
+        vp, vc, vn = vp & col, vc & col, vn & col
+        rule.append(j)
+        v = inst.score(vp, vc, vn, len(rule))
+        if v > best_v:
+            best, best_v = tuple(sorted(rule)), v
+    return best
+
+
+def _on_path(rule: Sequence[int], start: frozenset[int], path: Sequence[int]) -> bool:
+    """Whether rule, as a set, is start plus a prefix of path."""
+    k = len(rule) - len(start)
+    return 0 <= k <= len(path) and set(rule) == start.union(path[:k])
+
+
 def local_combinatorial_search(
     inst: SubproblemInstance,
     m: int = 16,
@@ -500,19 +548,35 @@ def local_combinatorial_search(
     Rounds of enlarge -> exact active-subset search -> descent -> swap
     search, repeated until the rule stops changing. Every phase is
     non-decreasing in v, so the fixed point is the best rule seen and is
-    never worse than the empty rule.
+    never worse than the empty rule. Rounds that would repeat work are
+    skipped (module docstring), and the exact search is seeded with the
+    best rule on enlarge's path.
     """
     if inst.d == 0:
         return ()
     r: tuple[int, ...] = ()
+    prev_active: tuple[int, ...] | None = None
+    # The last enlarge call: its start set, the features it added in order,
+    # the active set it reached and the best rule along the way.
+    start: frozenset[int] = frozenset()
+    path: list[int] = []
+    reached: tuple[int, ...] | None = None
+    path_best: tuple[int, ...] = ()
     cap = _iteration_cap(inst.d)
     for _ in range(cap):
-        prev = r
-        active = r
-        if len(active) < m:
-            active = enlarge(active, m, inst)
+        if len(r) < m:
+            if reached is None or not _on_path(r, start, path):
+                start, path = frozenset(r), []
+                reached = enlarge(r, m, inst, path=path)
+                path_best = _best_prefix(start, path, inst)
+            active, seed = reached, path_best
+        else:
+            active = seed = r
+        if active == prev_active:
+            return r
+        prev, prev_active = r, active
         if len(active) <= m:
-            r = best_subset(active, inst)
+            r = best_subset(active, inst, seed)
             if trace is not None:
                 trace.append(inst.value(r))
         r = ds_opt(r, inst, trace=trace)

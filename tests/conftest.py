@@ -103,3 +103,25 @@ def enumerate_rule_optimum(inst) -> tuple[tuple[int, ...], float]:
             if v > best_v + 1e-12:
                 best, best_v = feats, v
     return best, best_v
+
+
+def plain_local_search(inst, m: int = 16) -> tuple[int, ...]:
+    """local_combinatorial_search without its round skips and without
+    seeding branch and bound: every round runs enlarge and an unseeded
+    search. The reference the skipping, seeded search must equal."""
+    from rulecover.exact_oracle import bnb_max
+    from rulecover.subproblem import ds_opt, enlarge, swap_local_search
+
+    if inst.d == 0:
+        return ()
+    r = ()
+    for _ in range(10 * inst.d):
+        prev = active = r
+        if len(active) < m:
+            active = enlarge(active, m, inst)
+        if len(active) <= m:
+            r = bnb_max(inst, active).features
+        r = swap_local_search(ds_opt(r, inst), inst)
+        if r == prev:
+            return r
+    raise RuntimeError("no fixed point")

@@ -317,6 +317,37 @@ def test_gap_command_reports_json(tmp_path, capsys):
     assert doc["bnb_nodes"] >= 1
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_time_limit_without_bnb_timed_is_rejected(tmp_path, capsys, command):
+    # The limit binds only bnb-timed solves; with local search it used to be
+    # ignored without a word.
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    argv = [command, "--data", str(data_csv), "--labels-column", "y",
+            "--subproblem", "local", "--time-limit-secs", "0.000001"]
+    if command == "train":
+        argv += ["--model", str(tmp_path / "model.json")]
+    else:
+        argv += ["--folds", "2", "--out", str(tmp_path / "eval.csv")]
+    assert run(argv) == 2
+    assert "bnb-timed" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_gap_applies_time_limit_to_its_exact_run(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    out_json = tmp_path / "gap.json"
+    write_planted_csv(data_csv, random.Random(11), n=60)
+    rc = run(["gap", "--data", str(data_csv), "--labels-column", "y",
+              "--beta2", "0", "--lambda", "0.5", "--k", "2",
+              "--time-limit-secs", "30", "--out", str(out_json)])
+    assert rc == 0
+    with open(out_json) as fh:
+        doc = json.load(fh)
+    assert doc["proven_optimal"] is True
+    assert doc["gap"] == pytest.approx(0.0, abs=1e-9)
+
+
 def write_ttt_csv(tmp_path):
     table, schema = tic_tac_toe()
     data_csv = tmp_path / "ttt.csv"

@@ -14,7 +14,7 @@ from rulecover.exact_oracle import (
     enumerate_best,
 )
 from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet, profit
-from rulecover.subproblem import build_instance
+from rulecover.subproblem import build_instance, local_combinatorial_search
 
 
 def test_bnb_empty_candidates_returns_empty_rule():
@@ -169,6 +169,54 @@ def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
             assert res.value == pytest.approx(best_v, abs=1e-9)
 
 
+def tied_optima(inst, cands):
+    """Every subset of cands whose value equals the best one exactly."""
+    _, best_v = enumerate_best(inst, cands)
+    return [
+        feats
+        for k in range(len(cands) + 1)
+        for feats in itertools.combinations(cands, k)
+        if inst.value(feats) == best_v
+    ]
+
+
+def test_seeded_bnb_keeps_rule_and_value_and_visits_no_more_nodes():
+    # Seeds: a random subset of the candidates, enumerate_best's optimum,
+    # and a tied optimum other than the rule the search returns, which DFS
+    # reaches later or never. A seed that started the incumbent at v(seed)
+    # itself would keep that later optimum.
+    rng = random.Random(27)
+    kinds = {"random": 0, "optimum": 0, "later tie": 0}
+    for case in range(330):
+        if case % 3:
+            inst = tied_instance(rng, n_max=50, d_max=11)
+        else:
+            inst, *_ = random_instance(rng, n_max=50, d_max=11)
+        cands = sorted(rng.sample(range(inst.d), rng.randint(inst.d // 2, inst.d)))
+        plain = bnb_max(inst, cands)
+        seeds = {
+            "random": tuple(sorted(rng.sample(cands, rng.randint(0, len(cands))))),
+            "optimum": enumerate_best(inst, cands)[0],
+        }
+        later = [f for f in tied_optima(inst, cands) if f != plain.features]
+        if later:
+            seeds["later tie"] = rng.choice(later)
+        for kind, seed in seeds.items():
+            res = bnb_max(inst, cands, seed=seed)
+            assert (res.features, res.value) == (plain.features, plain.value), kind
+            assert res.proven_optimal
+            assert res.nodes <= plain.nodes
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 50
+
+
+def test_bnb_rejects_seed_outside_candidates():
+    rng = random.Random(28)
+    inst, *_ = random_instance(rng)
+    with pytest.raises(ConfigError):
+        bnb_max(inst, [0], seed=[1])
+
+
 # The suffix bound visits 5,953 nodes on this instance; the bound without
 # the suffix terms visited all 2^16 = 65,536 subsets.
 SUFFIX_BOUND_MAX_NODES = 2**16 // 8
@@ -228,6 +276,25 @@ def test_bnb_reports_timeout_honestly():
     full = bnb_max(inst, range(20))
     assert full.proven_optimal
     assert full.value >= res.value - 1e-9
+
+
+def test_bnb_cut_short_is_never_worse_than_its_seed():
+    # A larger instance of the kind in test_bnb_reports_timeout_honestly,
+    # where the unseeded search cut short at its first clock check falls
+    # below the local solver's rule; seeded with that rule, the cut-short
+    # search returns the better of its incumbent and the seed.
+    rng = random.Random(7)
+    data = random_dataset(rng, n=200, d=24, density=0.9, pos_frac=0.5)
+    h = Hyperparams(beta0=1.0, beta1=1.0, beta2=0.0, lam=0.0)
+    inst = build_instance(RuleSet(), data, h, 1.0)
+    seed = local_combinatorial_search(inst, m=16)
+    cut = bnb_max(inst, range(24), time_limit=1e-6)
+    assert not cut.proven_optimal
+    assert cut.value < inst.value(seed)
+    res = bnb_max(inst, range(24), time_limit=1e-6, seed=seed)
+    assert not res.proven_optimal
+    assert res.value >= inst.value(seed)
+    assert res.value == inst.value(res.features)
 
 
 def test_bnb_counts_nodes():

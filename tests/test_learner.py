@@ -2,14 +2,15 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import random_dataset, random_hyperparams
+from conftest import plain_local_search, random_dataset, random_hyperparams
 from rulecover.dataset import BinaryDataset, binarize
 from rulecover.datasets import table_three_tic_tac_toe_rules, tic_tac_toe
 from rulecover.exact_oracle import brute_force_ruleset_opt
-from rulecover import learner
+from rulecover import exact_oracle, learner
 from rulecover.learner import (
     SUBPROBLEM_MODES,
     TrainConfig,
@@ -21,6 +22,7 @@ from rulecover.learner import (
     train,
 )
 from rulecover.objective import ConfigError, Hyperparams, RuleSet, metrics, profit
+from rulecover.subproblem import build_instance
 
 
 def test_alpha_schedule_shape():
@@ -45,6 +47,11 @@ def test_train_config_validation():
         TrainConfig(subproblem="exact")
     with pytest.raises(ConfigError):
         TrainConfig(time_limit=0.0)
+    # A time limit binds only bnb-timed; elsewhere it would be ignored.
+    TrainConfig(subproblem="bnb-timed", time_limit=1.0)
+    for mode in ("local", "bnb"):
+        with pytest.raises(ConfigError, match="bnb-timed"):
+            TrainConfig(subproblem=mode, time_limit=1.0)
 
 
 def test_greedy_respects_rule_budget():
@@ -185,6 +192,63 @@ def test_solve_memo_changes_no_result(monkeypatch, mode):
             assert rep.bnb_nodes == sum(r.bnb_nodes for r in rep_memo.iterations)
         hits += rep_memo.cached_solves
     assert hits >= 1
+
+
+@pytest.mark.parametrize("mode", ["local", "bnb"])
+def test_round_skips_and_seeds_change_no_result(monkeypatch, mode):
+    # Unchanged fits with every local search run round by round in full
+    # and every branch and bound unseeded.
+    rng = random.Random(15)
+    cases = []
+    for _ in range(20):
+        data = random_dataset(rng, n=rng.randint(20, 50), d=rng.randint(3, 9))
+        h = replace(random_hyperparams(rng), active_size=rng.choice([2, 4, 16]))
+        cases.append((data, TrainConfig(hyperparams=h, subproblem=mode)))
+    seeded = [train(data, cfg) for data, cfg in cases]
+
+    bnb = exact_oracle.bnb_max
+
+    def unseeded(inst, candidates, time_limit=None, seed=None):
+        return bnb(inst, candidates, time_limit)
+
+    monkeypatch.setattr(exact_oracle, "bnb_max", unseeded)
+    monkeypatch.setattr(learner, "bnb_max", unseeded)
+    monkeypatch.setattr(learner, "local_combinatorial_search", plain_local_search)
+    nodes = {"seeded": 0, "unseeded": 0}
+    for (data, cfg), (S_seeded, rep_seeded) in zip(cases, seeded):
+        S, rep = train(data, cfg)
+        assert S.feature_sets() == S_seeded.feature_sets()
+        assert _report_less_timing_and_nodes(rep) == _report_less_timing_and_nodes(rep_seeded)
+        if mode == "bnb":
+            for plain, warm in zip(rep.iterations, rep_seeded.iterations):
+                assert warm.bnb_nodes <= plain.bnb_nodes
+            nodes["seeded"] += rep_seeded.bnb_nodes
+            nodes["unseeded"] += rep.bnb_nodes
+    if mode == "bnb":
+        assert nodes["seeded"] < nodes["unseeded"]
+
+
+def _report_less_timing_and_nodes(report):
+    out = report.as_dict()
+    for key in ("greedy_seconds", "refine_seconds", "fit_seconds", "bnb_nodes"):
+        del out[key]
+    for it in out["iterations"]:
+        del it["bnb_nodes"]
+    return out
+
+
+def test_timed_exact_solve_is_never_worse_than_local():
+    # Cut short at its first clock check, a bnb-timed solve still returns at
+    # least the local solver's rule.
+    rng = random.Random(16)
+    for _ in range(10):
+        data = random_dataset(rng, n=200, d=24, density=0.9)
+        inst = build_instance(RuleSet(), data, Hyperparams(lam=0.0), 1.0)
+        local = learner.local_combinatorial_search(inst)
+        cfg = TrainConfig(subproblem="bnb-timed", time_limit=1e-6)
+        feats, v, proven, _ = learner._solve_rule(inst, cfg)
+        assert v == inst.value(feats) >= inst.value(local)
+        assert proven is False
 
 
 def test_refine_never_lowers_profit():

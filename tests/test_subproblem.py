@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import enumerate_rule_optimum, random_instance, ref_rule_value, tied_instance
+from conftest import (
+    enumerate_rule_optimum,
+    plain_local_search,
+    random_instance,
+    ref_rule_value,
+    tied_instance,
+)
+from rulecover import exact_oracle, subproblem
 from rulecover.dataset import BinaryDataset
 from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet
 from rulecover.subproblem import (
@@ -238,6 +245,27 @@ def test_enlarge_respects_size_and_keeps_input():
         enlarge((), 0, inst)
 
 
+def test_enlarge_path_lists_additions_and_any_set_on_it_reaches_the_same_end():
+    # enlarge's next choice depends only on the set chosen so far, so
+    # starting from any set on its path gives the same active set: the
+    # fact local_combinatorial_search skips enlarge on.
+    rng = random.Random(23)
+    for case in range(150):
+        if case % 3:
+            inst = tied_instance(rng, n_max=40, d_max=12)
+        else:
+            inst, *_ = random_instance(rng, n_max=40, d_max=12)
+        start = sorted(rng.sample(range(inst.d), rng.randint(0, min(3, inst.d))))
+        m = rng.randint(1, inst.d + 2)
+        path = []
+        out = enlarge(start, m, inst, path=path)
+        assert len(path) == len(out) - len(start)
+        assert set(out) == set(start) | set(path)
+        for k in range(len(path) + 1):
+            on_path = sorted(set(start) | set(path[:k]))
+            assert enlarge(on_path, m, inst) == out
+
+
 def test_best_subset_matches_enumeration():
     rng = random.Random(18)
     for _ in range(50):
@@ -421,3 +449,69 @@ def test_local_search_trace_is_monotone():
         local_combinatorial_search(inst, m=6, trace=trace)
         for a, b in zip(trace, trace[1:]):
             assert b >= a - 1e-9
+
+
+def test_round_skips_and_seeds_change_no_result(monkeypatch):
+    # Rounds skipped because they repeat the last active set or retrace the
+    # last enlarge path, and branch and bound seeded with the best rule on
+    # that path, must return what running every round in full returns.
+    # Each round is logged as its exact search's candidates (when it runs
+    # one) and its descent's start rule: the full run must make the same
+    # rounds, plus at most one repeat of the last, which the skip drops.
+    # Integer weights (tied_instance) make many rules and many enlarge
+    # ratios tie exactly; small m forces several rounds and rules longer
+    # than the active set.
+    log, counts = [], {"enlarge": 0, "nodes": 0}
+    enlarge_fn, ds_fn, bnb_fn = subproblem.enlarge, subproblem.ds_opt, exact_oracle.bnb_max
+
+    def logged_enlarge(*args, **kwargs):
+        counts["enlarge"] += 1
+        return enlarge_fn(*args, **kwargs)
+
+    def logged_bnb(inst, candidates, *args, **kwargs):
+        res = bnb_fn(inst, candidates, *args, **kwargs)
+        counts["nodes"] += res.nodes
+        log.append(("bnb", tuple(candidates)))
+        return res
+
+    def logged_ds(features, inst, **kwargs):
+        log.append(("ds", tuple(features)))
+        return ds_fn(features, inst, **kwargs)
+
+    def rounds(events):
+        out, current = [], []
+        for event in events:
+            current.append(event)
+            if event[0] == "ds":
+                out.append(current)
+                current = []
+        assert not current
+        return out
+
+    monkeypatch.setattr(subproblem, "enlarge", logged_enlarge)
+    monkeypatch.setattr(subproblem, "ds_opt", logged_ds)
+    monkeypatch.setattr(exact_oracle, "bnb_max", logged_bnb)
+    rng = random.Random(26)
+    totals = {"skipping": dict(counts), "plain": dict(counts)}
+    repeats = 0
+    for case in range(450):
+        if case % 3:
+            inst = tied_instance(rng, n_max=60, d_max=16)
+        else:
+            inst, *_ = random_instance(rng, n_max=60, d_max=16)
+        m = rng.choice([1, 2, 3, 4, 6, 16])
+        runs = {}
+        for side, search in (("skipping", local_combinatorial_search),
+                             ("plain", plain_local_search)):
+            log.clear()
+            counts.update(enlarge=0, nodes=0)
+            runs[side] = search(inst, m), rounds(log)
+            for key in counts:
+                totals[side][key] += counts[key]
+        (got, skipped), (want, full) = runs["skipping"], runs["plain"]
+        assert got == want
+        assert full in (skipped, skipped + skipped[-1:])
+        repeats += len(full) - len(skipped)
+    assert repeats >= 100
+    assert totals["skipping"]["enlarge"] < totals["plain"]["enlarge"]
+    assert totals["skipping"]["nodes"] < totals["plain"]["nodes"]
