@@ -74,7 +74,8 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-refine", action="store_true", help="skip refinement")
     p.add_argument("--subproblem", choices=SUBPROBLEM_MODES, default="local")
     p.add_argument("--time-limit-secs", type=float, default=None,
-                   help="per-solve limit for bnb-timed")
+                   help="per-solve branch-and-bound limit for bnb-timed; the "
+                        "local solve that seeds it is not timed")
 
 
 def _load_table(args: argparse.Namespace) -> tuple[Table, dict[str, str], str]:

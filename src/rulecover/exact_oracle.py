@@ -22,17 +22,23 @@ SubproblemInstance.pos_ub); such a child could neither win nor be pushed,
 so the nodes visited and the rule found are unchanged.
 
 A seed, a known rule over the candidates, warm-starts the search: the
-incumbent value starts at v(seed) - SEED_MARGIN when that is above
-v(empty), while the incumbent rule stays the empty one. The margin
-exceeds TOL, so a node pruned only because of the seed has bound <=
-v(seed) - SEED_MARGIN + TOL < v(seed) <= v(optimum): nothing under it is
-an optimum or could have lifted the unseeded incumbent to v(seed). Every
-rule worth at least v(seed) is therefore still priced, in the same DFS
-order, and the strict > in the update still keeps the first of them to
-reach the optimum, so the rule returned is unchanged and the nodes
-visited are a subset of the unseeded ones. A search that ends, or is cut
-short, with its incumbent below v(seed) returns the seed, so a cut-short
-search is never worse than its seed.
+incumbent value starts at a floor strictly below v(seed) when that is
+above v(empty), while the incumbent rule stays the empty one. The floor
+is v(seed) - SEED_MARGIN, or the next float below v(seed) where v is so
+large that subtracting the margin rounds back to v(seed); either way
+floor + TOL < v(seed) in floating point. So a node pruned only because of
+the seed has bound <= floor + TOL < v(seed) <= v(optimum): nothing under
+it is an optimum or could have lifted the unseeded incumbent to v(seed).
+Every rule worth at least v(seed) is therefore still priced, in the same
+DFS order, and the strict > in the update still keeps the first of them
+to reach the optimum. When values that differ by at most TOL are equal,
+as with integer weights, the rule returned is the unseeded one and the
+nodes visited are a subset of the unseeded ones; otherwise the two
+searches may keep different rules within TOL of each other, as the
+unseeded search may between any two rules that close. A search that
+ends, or is cut short, with its incumbent more than TOL below v(seed)
+returns the seed, so a cut-short search is never worse than its seed by
+more than TOL.
 
 brute_force_ruleset_opt enumerates entire rule sets for tiny instances;
 it exists to pin down the outer greedy's quality in tests.
@@ -53,8 +59,9 @@ if TYPE_CHECKING:
     from .subproblem import SubproblemInstance
 
 _TIME_CHECK_EVERY = 256
-# How far below v(seed) a seeded search starts its incumbent; above TOL, so
-# that the first optimum in DFS order is still found (module docstring).
+# How far below v(seed) a seeded search starts its incumbent, at least; above
+# TOL, so that the first optimum in DFS order is still found (module
+# docstring).
 SEED_MARGIN = 1e-9
 
 
@@ -80,8 +87,9 @@ def bnb_max(
     docstring) cannot beat the incumbent by more than the tolerance, so
     ties keep the first-found rule and the search is deterministic. With
     no time limit the result is provably optimal. A seed, a rule over the
-    candidates, only prunes more: the rule found is the unseeded one,
-    except that a search ending below v(seed) returns the seed.
+    candidates, only prunes more: the rule found is the unseeded one, up
+    to TOL, except that a search ending more than TOL below v(seed)
+    returns the seed.
     """
     cands = sorted(set(candidates))
     if any(j < 0 or j >= inst.d for j in cands):
@@ -106,7 +114,8 @@ def bnb_max(
     best_v = inst.score(vp0, vc0, vn0, 0)
     if seed is not None:
         v_seed = inst.value(seed)
-        best_v = max(best_v, v_seed - SEED_MARGIN)
+        floor = min(v_seed - SEED_MARGIN, math.nextafter(v_seed, -math.inf))
+        best_v = max(best_v, floor)
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     timed_out = False
@@ -170,7 +179,7 @@ def bnb_max(
         children.sort(key=lambda c: c[0])
         stack.extend(children)
 
-    if seed is not None and best_v < v_seed:
+    if seed is not None and best_v < v_seed - TOL:
         best_feats, best_v = seed, v_seed
     return BnbResult(
         features=tuple(sorted(best_feats)),

@@ -161,8 +161,9 @@ def _solve_rule(inst: SubproblemInstance, cfg: TrainConfig) -> Solution:
     """Dispatch one subproblem solve.
 
     Exact modes seed branch and bound with the local solver's rule, which
-    leaves the rule found unchanged (exact_oracle) and makes a solve cut
-    short by the time limit never worse than the local one.
+    leaves the rule found unchanged up to TOL (exact_oracle) and makes a
+    solve cut short by the time limit never worse than the local one by
+    more than TOL. The time limit covers only the branch and bound.
     """
     if cfg.subproblem == "bnb" and inst.d > BNB_EXACT_CAP:
         raise ConfigError(

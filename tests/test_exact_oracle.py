@@ -210,6 +210,60 @@ def test_seeded_bnb_keeps_rule_and_value_and_visits_no_more_nodes():
     assert min(kinds.values()) >= 50
 
 
+def test_seeded_bnb_keeps_rule_when_values_exceed_float_resolution_of_margin():
+    # Integer weights around 1e5 on a few thousand rows put v above 2**24,
+    # where v - SEED_MARGIN rounds back to v. The seeded incumbent must
+    # still start strictly below v(seed), or a seed that is already the
+    # optimum is never replaced and the empty rule comes back labelled
+    # with the seed's value. Labels follow a planted rule, so the optimum
+    # is not the empty rule.
+    rng = random.Random(29)
+    for case in range(12):
+        planted = rng.sample(range(8), rng.randint(1, 3))
+        rows = [[int(rng.random() < 0.7) for _ in range(8)] for _ in range(3000)]
+        labels = [int(all(r[j] for j in planted) != (rng.random() < 0.1)) for r in rows]
+        data = BinaryDataset.from_matrix(rows, labels)
+        h = Hyperparams(
+            beta0=rng.choice([1e5, 2e5]),
+            beta1=rng.choice([1e5, 3e5]),
+            beta2=0.0,
+            lam=rng.choice([0.0, 1e5]),
+        )
+        inst = build_instance(RuleSet(), data, h, 1.0)
+        cands = range(inst.d)
+        plain = bnb_max(inst, cands)
+        best, best_v = enumerate_best(inst, cands)
+        assert best and abs(best_v) >= 2**24
+        seeds = [
+            local_combinatorial_search(inst, m=inst.d),
+            best,
+            *(f for f in tied_optima(inst, cands) if f != plain.features),
+        ]
+        for seed in seeds:
+            res = bnb_max(inst, cands, seed=seed)
+            assert (res.features, res.value) == (plain.features, plain.value)
+            assert res.value == inst.value(res.features) == best_v
+            assert res.nodes <= plain.nodes
+
+
+def test_seed_within_tol_above_the_unseeded_rule_keeps_that_rule():
+    # (2,) scores 0.9 - 0.6 and (0, 2) scores 0.6 - 0.3: both 0.3 on paper,
+    # but the first rounds one ulp lower. The unseeded search finds (2,)
+    # first and prunes (0, 2) as a tie within TOL; seeded with (0, 2), the
+    # search must keep (2,) as well rather than fall back to its seed.
+    rows = [[0, 1, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 1],
+            [1, 0, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]]
+    data = BinaryDataset.from_matrix(rows, [0, 0, 1, 0, 1, 1, 0])
+    h = Hyperparams(beta0=0.3, beta1=0.3, beta2=0.0, lam=0.0)
+    inst = build_instance(RuleSet(), data, h, 1.0)
+    plain = bnb_max(inst, range(4))
+    seed = (0, 2)
+    assert plain.features == (2,)
+    assert plain.value < inst.value(seed) <= plain.value + TOL
+    res = bnb_max(inst, range(4), seed=seed)
+    assert (res.features, res.value) == (plain.features, plain.value)
+
+
 def test_bnb_rejects_seed_outside_candidates():
     rng = random.Random(28)
     inst, *_ = random_instance(rng)
