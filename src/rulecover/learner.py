@@ -81,6 +81,8 @@ class IterationRecord:
     proven_optimal: bool | None = None
     bnb_nodes: int | None = None
     cached: bool = False
+    # Wall time of the solve; 0.0 when the fit's memo answered it.
+    seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -94,6 +96,7 @@ class IterationRecord:
             "proven_optimal": self.proven_optimal,
             "bnb_nodes": self.bnb_nodes,
             "cached": self.cached,
+            "seconds": self.seconds,
         }
 
 
@@ -179,8 +182,9 @@ def _solve_rule(inst: SubproblemInstance, cfg: TrainConfig) -> Solution:
 
 def _solve(
     S: RuleSet, data: BinaryDataset, cfg: TrainConfig, alpha: float, memo: SolveMemo
-) -> tuple[Solution, bool]:
-    """The best next rule at weight alpha, and whether the memo held it.
+) -> tuple[Solution, bool, float]:
+    """The best next rule at weight alpha, whether the memo held it, and
+    the seconds the solve took (0.0 when the memo held it).
 
     build_instance weighs the rows by the positives S covers and by alpha
     alone, so that pair identifies the instance within one fit. Under
@@ -189,9 +193,10 @@ def _solve(
     key = (data.positives & S.covered, alpha)
     hit = memo.get(key)
     if hit is not None:
-        return hit, True
+        return hit, True, 0.0
+    t0 = time.monotonic()
     memo[key] = _solve_rule(build_instance(S, data, cfg.hyperparams, alpha), cfg)
-    return memo[key], False
+    return memo[key], False, time.monotonic() - t0
 
 
 def _alpha(k: int, K: int) -> float:
@@ -209,7 +214,7 @@ def _grow(
 ) -> IterationRecord:
     """Solve for the next rule at weight alpha and add it to S (in place)
     when its value is positive and it is not already in S."""
-    (feats, v, proven, nodes), cached = _solve(S, data, cfg, alpha, memo)
+    (feats, v, proven, nodes), cached, seconds = _solve(S, data, cfg, alpha, memo)
     inserted = v > TOL and feats not in S.feature_sets()
     if inserted:
         S.add(Rule.build(feats, data))
@@ -224,6 +229,7 @@ def _grow(
         proven_optimal=proven,
         bnb_nodes=nodes,
         cached=cached,
+        seconds=seconds,
     )
 
 
@@ -289,7 +295,7 @@ def refine(
                 continue
             v_before = profit(S, data, h)
             S.remove(old)
-            (feats, v, proven, nodes), cached = _solve(S, data, cfg, 1.0, memo)
+            (feats, v, proven, nodes), cached, seconds = _solve(S, data, cfg, 1.0, memo)
             replaced = False
             if v > TOL and feats not in S.feature_sets():
                 S.add(Rule.build(feats, data))
@@ -313,6 +319,7 @@ def refine(
                         proven_optimal=proven,
                         bnb_nodes=nodes,
                         cached=cached,
+                        seconds=seconds,
                     )
                 )
         if set(S.feature_sets()) == before:

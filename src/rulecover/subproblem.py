@@ -36,6 +36,15 @@ therefore skip work without changing any result:
 
 The exact search is seeded with the best rule on that path, which holds
 the rule the round starts from; a seed changes no rule bnb_max returns.
+
+enlarge stops scanning once every candidate ties. When the rule covers
+no negatives and no covered positives, every u-gain is 0.0; with lam > 0
+every w-gain is at least lam, so every ratio is 0.0, and with lam == 0
+and an empty cover every ratio is -inf. The strict > then keeps the
+lowest unused index, at every later step too, since ANDs only shrink the
+cover; so the rest of the rule is the lowest unused indices in order.
+With lam == 0 and uncovered positives still covered the ratios can
+differ (0.0 or -inf), and the scan runs.
 """
 
 from __future__ import annotations
@@ -210,6 +219,13 @@ class SubproblemInstance:
         rounds x - c above x. So a scan may skip j when pos_ub[j] - lam*k,
         written in the same operation order as the exact test it guards,
         already fails that test.
+
+        The same argument holds at any cover the candidate is ANDed into:
+        a rule covering vp & col has v <= pos_weight*|vp & col| - lam*k.
+        So the swap and add scans of swap_local_search and bnb_max's child
+        loop, after this instance-level test, also skip a candidate whose
+        support within the current cover fails the exact test, before its
+        other two ANDs and its score.
         """
         if self._pos_ub is None:
             pw, uncovered = self.pos_weight, self.uncovered_pos
@@ -286,7 +302,8 @@ def chain_permutation(features: Sequence[int], d: int) -> list[int]:
     ascending. Keeping the rule's features first makes the chain bound
     tight at the rule."""
     inside = sorted(features)
-    rest = [j for j in range(d) if j not in set(inside)]
+    in_rule = set(inside)
+    rest = [j for j in range(d) if j not in in_rule]
     return inside + rest
 
 
@@ -364,16 +381,34 @@ def enlarge(
     added unconditionally, so the result can be worse than the input;
     callers re-optimize over the enlarged active set. path, when given,
     receives the added features in the order they were added.
+
+    Once the rule covers no negatives and no covered positives, every
+    u-gain is exactly 0.0. With lam > 0 every w-gain is at least lam, so
+    every ratio is 0.0; with lam == 0 and an empty cover every w-gain is
+    0.0, so every ratio is -inf. Either way all candidates tie and the
+    lowest unused index wins, and since adding a feature only shrinks the
+    cover, every later step ties the same way. The rest of the rule is
+    then the lowest unused indices in ascending order, appended without a
+    scan. With lam == 0 and uncovered positives still covered, a w-gain
+    can be 0.0 or positive, so those steps keep the scan.
     """
     if m < 1:
         raise ConfigError("active set size must be >= 1")
     d = inst.d
     columns = inst.columns
+    beta0, beta2, pos_weight, lam = inst.beta0, inst.beta2, inst.pos_weight, inst.lam
     r = sorted(set(features))
     in_r = set(r)
     vp, vc, vn = inst.cover(r)
     target = min(m, d)
     while len(r) < target:
+        if not vn and not vc and (lam > 0 or not vp):
+            # The tied tail (docstring): fill with the lowest unused indices.
+            tail = [j for j in range(d) if j not in in_r][: target - len(r)]
+            r.extend(tail)
+            if path is not None:
+                path.extend(tail)
+            break
         pcp = vp.bit_count()
         pcc = vc.bit_count()
         pcn = vn.bit_count()
@@ -383,10 +418,10 @@ def enlarge(
             if j in in_r:
                 continue
             col = columns[j]
-            du = inst.beta0 * (pcn - (vn & col).bit_count()) + inst.beta2 * (
+            du = beta0 * (pcn - (vn & col).bit_count()) + beta2 * (
                 pcc - (vc & col).bit_count()
             )
-            dw = inst.pos_weight * (pcp - (vp & col).bit_count()) + inst.lam
+            dw = pos_weight * (pcp - (vp & col).bit_count()) + lam
             if dw > 0:
                 ratio = du / dw
             else:
@@ -430,9 +465,11 @@ def swap_local_search(
     d = inst.d
     columns = inst.columns
     cover, score = inst.cover, inst.score
-    lam = inst.lam
+    lam, pos_weight = inst.lam, inst.pos_weight
     # Candidates whose support bound fails a scan's test are skipped before
-    # their three ANDs (see SubproblemInstance.pos_ub); scan order is kept.
+    # their three ANDs, and those whose support within the current cover
+    # fails it before the other two ANDs and the score call (see
+    # SubproblemInstance.pos_ub); scan order is kept.
     pos_ub = inst.pos_ub()
     r = sorted(set(features))
 
@@ -452,7 +489,10 @@ def swap_local_search(
                 if j in in_r or (pos_ub[j] - add_cost) - v_r <= TOL:
                     continue
                 col = columns[j]
-                nvp, nvc, nvn = vp & col, vc & col, vn & col
+                nvp = vp & col
+                if (pos_weight * nvp.bit_count() - add_cost) - v_r <= TOL:
+                    continue
+                nvc, nvn = vc & col, vn & col
                 gain = score(nvp, nvc, nvn, len(r) + 1) - v_r
                 if gain > TOL:
                     r.append(j)
@@ -499,7 +539,10 @@ def swap_local_search(
                 found = False
                 for b in incoming:
                     col = columns[b]
-                    v_new = score(bvp & col, bvc & col, bvn & col, len(r))
+                    nvp = bvp & col
+                    if pos_weight * nvp.bit_count() - swap_cost <= limit:
+                        continue
+                    v_new = score(nvp, bvc & col, bvn & col, len(r))
                     if v_new > limit:
                         r = sorted(rest + [b])
                         vp, vc, vn = cover(r)

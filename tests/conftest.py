@@ -105,12 +105,40 @@ def enumerate_rule_optimum(inst) -> tuple[tuple[int, ...], float]:
     return best, best_v
 
 
+def plain_enlarge(features, m: int, inst, path: list[int] | None = None) -> tuple[int, ...]:
+    """subproblem.enlarge without filling its tied tail: every step scans
+    every unused feature for the best u-gain / w-gain ratio."""
+    inf = float("inf")
+    r = sorted(set(features))
+    vp, vc, vn = inst.cover(r)
+    while len(r) < min(m, inst.d):
+        best_j, best_ratio = -1, None
+        for j in range(inst.d):
+            if j in r:
+                continue
+            col = inst.columns[j]
+            du = inst.beta0 * (vn.bit_count() - (vn & col).bit_count()) + inst.beta2 * (
+                vc.bit_count() - (vc & col).bit_count()
+            )
+            dw = inst.pos_weight * (vp.bit_count() - (vp & col).bit_count()) + inst.lam
+            ratio = du / dw if dw > 0 else (inf if du > 0 else -inf)
+            if best_ratio is None or ratio > best_ratio:
+                best_j, best_ratio = j, ratio
+        r.append(best_j)
+        if path is not None:
+            path.append(best_j)
+        col = inst.columns[best_j]
+        vp, vc, vn = vp & col, vc & col, vn & col
+    return tuple(sorted(r))
+
+
 def plain_local_search(inst, m: int = 16) -> tuple[int, ...]:
-    """local_combinatorial_search without its round skips and without
-    seeding branch and bound: every round runs enlarge and an unseeded
-    search. The reference the skipping, seeded search must equal."""
+    """local_combinatorial_search without its round skips, without seeding
+    branch and bound and with plain_enlarge: every round scans every
+    enlarge step and runs an unseeded search. The reference the skipping,
+    seeded search must equal."""
     from rulecover.exact_oracle import bnb_max
-    from rulecover.subproblem import ds_opt, enlarge, swap_local_search
+    from rulecover.subproblem import ds_opt, swap_local_search
 
     if inst.d == 0:
         return ()
@@ -118,7 +146,7 @@ def plain_local_search(inst, m: int = 16) -> tuple[int, ...]:
     for _ in range(10 * inst.d):
         prev = active = r
         if len(active) < m:
-            active = enlarge(active, m, inst)
+            active = plain_enlarge(active, m, inst)
         if len(active) <= m:
             r = bnb_max(inst, active).features
         r = swap_local_search(ds_opt(r, inst), inst)

@@ -1,5 +1,7 @@
 """Tests for the branch-and-bound rule maximizer and enumeration oracles."""
 
+import collections
+import dataclasses
 import itertools
 import random
 
@@ -147,11 +149,55 @@ def unscreened_bnb(inst, candidates):
     return tuple(sorted(best_feats)), best_v, nodes
 
 
+class TaggedMask(int):
+    """A row mask tagged with the instance mask it lies in ("p" for the
+    uncovered positives, "c" for the covered positives)."""
+
+    def __new__(cls, value, kind=None):
+        mask = super().__new__(cls, value)
+        mask.kind = kind
+        return mask
+
+
+class CountingColumn(TaggedMask):
+    """A column that counts in ands, by tag, the masks ANDed into it. As a
+    subclass of TaggedMask it takes `mask & column` before int does."""
+
+    def __new__(cls, value, ands):
+        col = super().__new__(cls, value)
+        col.ands = ands
+        return col
+
+    def __rand__(self, other):
+        kind = getattr(other, "kind", None)
+        self.ands[kind] += 1
+        return TaggedMask(int(other) & int(self), kind)
+
+
+def bnb_with_cover_skips(inst, candidates):
+    """bnb_max's result on inst, and the children it skipped by the support
+    screen at the node's cover. Every child that passes the instance-level
+    screen ANDs the node's vp into its column; of those, the ones the cover
+    screen passes also AND vc."""
+    inst.pos_ub()  # cached first: it ANDs every column too
+    ands = collections.Counter()
+    counted = dataclasses.replace(
+        inst,
+        columns=[CountingColumn(col, ands) for col in inst.columns],
+        uncovered_pos=TaggedMask(inst.uncovered_pos, "p"),
+        covered_pos=TaggedMask(inst.covered_pos, "c"),
+    )
+    res = bnb_max(counted, candidates)
+    return res, ands["p"] - ands["c"]
+
+
 def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
     # Integer weights make many subsets tie exactly with the incumbent, the
     # case where a screen that skipped a child whose value equals best_v
-    # plus a little would pick another rule or visit other nodes.
+    # plus a little would pick another rule or visit other nodes. Both
+    # screens, at the instance level and at the node's cover, must fire.
     rng = random.Random(25)
+    cover_screened = 0
     for case in range(300):
         if case % 3:
             inst = tied_instance(rng, n_max=60, d_max=12)
@@ -160,6 +206,9 @@ def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
         cands = sorted(rng.sample(range(inst.d), rng.randint(0, inst.d)))
         res = bnb_max(inst, cands)
         assert (res.features, res.value, res.nodes) == unscreened_bnb(inst, cands)
+        counted, skips = bnb_with_cover_skips(inst, cands)
+        assert counted == res
+        cover_screened += skips
         feats, best_v = enumerate_best(inst, cands)
         assert res.proven_optimal
         assert inst.value(res.features) == res.value
@@ -167,6 +216,7 @@ def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
             assert res.value == best_v
         else:
             assert res.value == pytest.approx(best_v, abs=1e-9)
+    assert cover_screened > 300
 
 
 def tied_optima(inst, cands):

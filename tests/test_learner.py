@@ -89,8 +89,9 @@ def test_greedy_is_deterministic():
     S1, r1 = distorted_greedy(data, cfg)
     S2, r2 = distorted_greedy(data, cfg)
     assert S1.feature_sets() == S2.feature_sets()
-    assert [rec.as_dict() for rec in r1.iterations] == [
-        rec.as_dict() for rec in r2.iterations
+    # Everything but each solve's wall time.
+    assert [{**rec.as_dict(), "seconds": None} for rec in r1.iterations] == [
+        {**rec.as_dict(), "seconds": None} for rec in r2.iterations
     ]
 
 
@@ -163,7 +164,7 @@ def _report_less_timing_and_cache(report):
                 "cached_solves", "bnb_nodes"):
         del out[key]
     for it in out["iterations"]:
-        del it["cached"]
+        del it["cached"], it["seconds"]
     return out
 
 
@@ -233,7 +234,7 @@ def _report_less_timing_and_nodes(report):
     for key in ("greedy_seconds", "refine_seconds", "fit_seconds", "bnb_nodes"):
         del out[key]
     for it in out["iterations"]:
-        del it["bnb_nodes"]
+        del it["bnb_nodes"], it["seconds"]
     return out
 
 
@@ -310,6 +311,19 @@ def test_report_timing_fields():
     assert report.fit_seconds == report.greedy_seconds + report.refine_seconds
     assert report.refine_passes >= 1
     assert report.all_proven
+
+
+def test_report_times_each_solve_and_no_cached_one():
+    rng = random.Random(16)
+    data = random_dataset(rng, n=40, d=8)
+    _, report = train(data, TrainConfig())
+    cached = [r for r in report.iterations if r.cached]
+    assert cached and all(r.seconds == 0.0 for r in cached)
+    assert all(r.seconds > 0.0 for r in report.iterations if not r.cached)
+    assert sum(r.seconds for r in report.iterations) <= report.fit_seconds
+    assert [it["seconds"] for it in report.as_dict()["iterations"]] == [
+        r.seconds for r in report.iterations
+    ]
 
 
 def test_predict_on_hand_rows():

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import conftest
 from conftest import (
     enumerate_rule_optimum,
+    plain_enlarge,
     plain_local_search,
     random_instance,
     ref_rule_value,
@@ -266,6 +268,43 @@ def test_enlarge_path_lists_additions_and_any_set_on_it_reaches_the_same_end():
             assert enlarge(on_path, m, inst) == out
 
 
+def test_enlarge_fill_matches_a_scan_of_every_step():
+    # enlarge appends its tied tail without scanning (its docstring); a scan
+    # of every step must give the same rule and the same path. Starts are
+    # random, some extended until they cover no negatives or covered
+    # positives, and lam = 0 occurs, so both the filled steps and the ones
+    # the fill must leave to the scan (lam = 0 with uncovered positives
+    # still covered) are reached.
+    rng = random.Random(29)
+    steps = {"filled": 0, "lam 0 scanned": 0}
+    for case in range(600):
+        if case % 2:
+            inst = tied_instance(rng, n_max=40, d_max=14)
+        else:
+            inst, *_ = random_instance(rng, n_max=40, d_max=14)
+        start = rng.sample(range(inst.d), rng.randint(0, min(3, inst.d)))
+        if case % 3 == 0:
+            for j in rng.sample(range(inst.d), inst.d):
+                _, vc, vn = inst.cover(start)
+                if not vc and not vn:
+                    break
+                if j not in start:
+                    start.append(j)
+        m = rng.randint(1, inst.d + 2)
+        path, want_path = [], []
+        got = enlarge(start, m, inst, path=path)
+        assert got == plain_enlarge(start, m, inst, path=want_path)
+        assert path == want_path
+        rule = sorted(set(start))
+        for j in path:
+            vp, vc, vn = inst.cover(rule)
+            if not vc and not vn:
+                steps["filled" if inst.lam > 0 or not vp else "lam 0 scanned"] += 1
+            rule.append(j)
+    assert steps["filled"] >= 500
+    assert steps["lam 0 scanned"] >= 25
+
+
 def test_best_subset_matches_enumeration():
     rng = random.Random(18)
     for _ in range(50):
@@ -393,10 +432,11 @@ def unscreened_swap_search(features, inst, trace):
 
 def test_swap_screen_changes_no_step_of_the_search():
     # Float weights, and small integer weights where many candidates tie
-    # exactly with the current rule: the screen must skip only candidates
-    # the exact test rejects, so every step and the result are unchanged.
+    # exactly with the current rule: the screens, at the instance level and
+    # at the current cover, must skip only candidates the exact test
+    # rejects, so every step and the result are unchanged.
     rng = random.Random(23)
-    screened = 0
+    screened = cover_screened = 0
     for case in range(400):
         if case % 2:
             inst = tied_instance(rng, n_max=40, d_max=12)
@@ -410,7 +450,34 @@ def test_swap_screen_changes_no_step_of_the_search():
         pos_ub = inst.pos_ub()
         screened += sum(pos_ub[j] - inst.lam * (len(got) + 1) - inst.value(got) <= TOL
                         for j in range(inst.d) if j not in got)
+        cover_screened += last_sweep_cover_skips(got, inst)
     assert screened > 1000
+    assert cover_screened > 500
+
+
+def last_sweep_cover_skips(rule, inst):
+    """Candidates the search's last sweep, at its final rule, skips by the
+    support screen at the current cover after passing the one at the
+    instance level: adds, then swaps for each feature swapped out."""
+    pw, lam, pos_ub = inst.pos_weight, inst.lam, inst.pos_ub()
+    v = inst.value(rule)
+    outside = [j for j in range(inst.d) if j not in rule]
+    vp = inst.cover(rule)[0]
+    add_cost = lam * (len(rule) + 1)
+    skips = sum(
+        (pos_ub[j] - add_cost) - v > TOL
+        and (pw * (vp & inst.columns[j]).bit_count() - add_cost) - v <= TOL
+        for j in outside
+    )
+    swap_cost = lam * len(rule)
+    for a in rule:
+        bvp = inst.cover([x for x in rule if x != a])[0]
+        skips += sum(
+            pos_ub[b] - swap_cost > v + TOL
+            and pw * (bvp & inst.columns[b]).bit_count() - swap_cost <= v + TOL
+            for b in outside
+        )
+    return skips
 
 
 def test_pos_ub_bounds_every_rule_holding_the_feature():
@@ -464,9 +531,11 @@ def test_round_skips_and_seeds_change_no_result(monkeypatch):
     log, counts = [], {"enlarge": 0, "nodes": 0}
     enlarge_fn, ds_fn, bnb_fn = subproblem.enlarge, subproblem.ds_opt, exact_oracle.bnb_max
 
-    def logged_enlarge(*args, **kwargs):
-        counts["enlarge"] += 1
-        return enlarge_fn(*args, **kwargs)
+    def logged(fn):
+        def logged_enlarge(*args, **kwargs):
+            counts["enlarge"] += 1
+            return fn(*args, **kwargs)
+        return logged_enlarge
 
     def logged_bnb(inst, candidates, *args, **kwargs):
         res = bnb_fn(inst, candidates, *args, **kwargs)
@@ -488,7 +557,8 @@ def test_round_skips_and_seeds_change_no_result(monkeypatch):
         assert not current
         return out
 
-    monkeypatch.setattr(subproblem, "enlarge", logged_enlarge)
+    monkeypatch.setattr(subproblem, "enlarge", logged(enlarge_fn))
+    monkeypatch.setattr(conftest, "plain_enlarge", logged(plain_enlarge))
     monkeypatch.setattr(subproblem, "ds_opt", logged_ds)
     monkeypatch.setattr(exact_oracle, "bnb_max", logged_bnb)
     rng = random.Random(26)
