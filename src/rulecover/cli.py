@@ -72,10 +72,12 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="fold shuffle for evaluate; training is deterministic")
     p.add_argument("--no-refine", action="store_true", help="skip refinement")
-    p.add_argument("--subproblem", choices=SUBPROBLEM_MODES, default="local")
-    p.add_argument("--time-limit-secs", type=float, default=None,
-                   help="per-solve branch-and-bound limit for bnb-timed; the "
-                        "local solve that seeds it is not timed")
+
+
+def _add_subproblem_arg(p: argparse.ArgumentParser) -> None:
+    # Not on gap, which runs both solvers.
+    p.add_argument("--subproblem", choices=SUBPROBLEM_MODES, default="local",
+                   help="rule solver: local search or exact branch and bound")
 
 
 def _load_table(args: argparse.Namespace) -> tuple[Table, dict[str, str], str]:
@@ -129,7 +131,6 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         hyperparams=_hyperparams(args),
         subproblem=args.subproblem,
-        time_limit=args.time_limit_secs,
         refine=not args.no_refine,
     )
 
@@ -231,11 +232,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     elif args.single:
         grid = [_train_config(args)]
     else:
-        grid = default_grid(
-            subproblem=args.subproblem,
-            refine=not args.no_refine,
-            time_limit=args.time_limit_secs,
-        )
+        grid = default_grid(subproblem=args.subproblem, refine=not args.no_refine)
     labels01 = [1 if v == "1" else 0 for v in table.column(label)]
     plan = make_folds(labels01, args.folds, seed=args.seed)
     results = cross_validate(table, schema, grid, plan, jobs=args.jobs)
@@ -274,9 +271,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_gap(args: argparse.Namespace) -> int:
     table, schema, _ = _load_table(args)
     data = binarize(table, schema)
-    # relative_gap picks both runs' solvers; the limit goes to the exact one.
+    # relative_gap picks both runs' solvers.
     cfg = TrainConfig(hyperparams=_hyperparams(args), refine=not args.no_refine)
-    result = relative_gap(data, cfg, args.time_limit_secs)
+    result = relative_gap(data, cfg)
     doc = result.as_dict()
     if args.out and args.out != "-":
         with open(args.out, "w") as fh:
@@ -309,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a rule set and save the model")
     _add_data_args(p)
     _add_train_args(p)
+    _add_subproblem_arg(p)
     p.add_argument("--model", required=True, help="output model JSON")
     p.add_argument("--report", help="output training report JSON")
     p.set_defaults(func=_cmd_train)
@@ -323,11 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validated grid search")
     _add_data_args(p)
     _add_train_args(p)
+    _add_subproblem_arg(p)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--grid", help="JSON list of hyperparameter dicts")
-    p.add_argument("--single", action="store_true",
-                   help="evaluate only the flag-specified config")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--grid", help="JSON list of hyperparameter dicts")
+    which.add_argument("--single", action="store_true",
+                       help="evaluate only the flag-specified config")
     p.add_argument("--out", help=".csv table or .json full report (default stdout)")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -8,8 +8,8 @@ and category lists never leak.
 
 Grid selection follows mean training-split accuracy with ties broken by
 fewer literals. relative_gap trains the same configuration twice, with
-the local-search and the (optionally time-limited) branch-and-bound
-subproblem solvers, and reports [V_bnb - V_approx] / V_bnb.
+the local-search and the branch-and-bound subproblem solvers, the latter
+under its fixed node budget, and reports [V_bnb - V_approx] / V_bnb.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ def default_grid(
     active_size: int = 16,
     subproblem: str = "local",
     refine: bool = True,
-    time_limit: float | None = None,
 ) -> list[TrainConfig]:
     """The benchmark grid: beta0 = beta1 = 1 with the listed sweeps."""
     grid = []
@@ -166,7 +165,6 @@ def default_grid(
                         ),
                         subproblem=subproblem,
                         refine=refine,
-                        time_limit=time_limit,
                     )
                 )
     return grid
@@ -275,18 +273,16 @@ class GapResult:
         }
 
 
-def relative_gap(
-    data: BinaryDataset, cfg: TrainConfig, bnb_time_limit: float | None = None
-) -> GapResult:
+def relative_gap(data: BinaryDataset, cfg: TrainConfig) -> GapResult:
     """Train twice (local search vs branch and bound) and compare profits.
 
     gap = [V(S_bnb) - V(S_approx)] / V(S_bnb); None when V(S_bnb) is zero.
-    Negative gaps mean the approximate run won, which is legal. The bnb
-    run is untimed when bnb_time_limit is None and proven_optimal then
-    reports whether every solve finished.
+    Negative gaps mean the approximate run won, which is legal.
+    proven_optimal reports whether every bnb solve ended within the node
+    budget (exact_oracle.NODE_BUDGET).
     """
-    approx_cfg = replace(cfg, subproblem="local", time_limit=None)
-    bnb_cfg = replace(cfg, subproblem="bnb-timed", time_limit=bnb_time_limit)
+    approx_cfg = replace(cfg, subproblem="local")
+    bnb_cfg = replace(cfg, subproblem="bnb")
     S_approx, _ = train(data, approx_cfg)
     S_bnb, report_bnb = train(data, bnb_cfg)
     h = cfg.hyperparams

@@ -15,8 +15,12 @@ vp(R) and at least vc(R) & suf(R) and vn(R) & suf(R), and it pays at least
 lam*|R| length cost. The weights make each of these a loss: Hyperparams
 keeps beta0, beta2 and lam nonnegative, and build_instance requires
 pos_weight > 0. Pruning on the bound is therefore lossless and the search
-is exact unless the time limit interrupts it, which the result reports
-honestly. Before pricing a child R + c, the search drops it when even its
+is exact unless it reaches NODE_BUDGET, which the result reports honestly.
+Every node is a distinct subset of the candidates, so a search over at
+most 24 candidates always ends on its own. The budget cuts a search at the
+same node on every run, so a cut search is as deterministic as a full one.
+
+Before pricing a child R + c, the search drops it when even its
 support bound pos_ub[c] - lam*(|R|+1) cannot beat the incumbent (see
 SubproblemInstance.pos_ub), and then, after the one AND vp(R) & col_c,
 when the same bound at R's cover, pos_weight*|vp(R) & col_c| -
@@ -50,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -60,7 +63,9 @@ if TYPE_CHECKING:
     from .dataset import BinaryDataset
     from .subproblem import SubproblemInstance
 
-_TIME_CHECK_EVERY = 256
+# Most nodes one bnb_max search visits; 2^24, the number of subsets of 24
+# candidates (module docstring).
+NODE_BUDGET = 1 << 24
 # How far below v(seed) a seeded search starts its incumbent, at least; above
 # TOL, so that the first optimum in DFS order is still found (module
 # docstring).
@@ -78,7 +83,6 @@ class BnbResult:
 def bnb_max(
     inst: "SubproblemInstance",
     candidates: Sequence[int],
-    time_limit: float | None = None,
     seed: Sequence[int] | None = None,
 ) -> BnbResult:
     """Best rule over subsets of the candidate features.
@@ -87,11 +91,12 @@ def bnb_max(
     exclusion gain (ties by index), children in decreasing order of
     pos_weight*|vp| - lam*|R|. A node is pruned when its bound (module
     docstring) cannot beat the incumbent by more than the tolerance, so
-    ties keep the first-found rule and the search is deterministic. With
-    no time limit the result is provably optimal. A seed, a rule over the
-    candidates, only prunes more: the rule found is the unseeded one, up
-    to TOL, except that a search ending more than TOL below v(seed)
-    returns the seed.
+    ties keep the first-found rule and the search is deterministic. A
+    search that ends within NODE_BUDGET nodes is provably optimal; one that
+    would visit more stops after exactly NODE_BUDGET and reports
+    proven_optimal=False. A seed, a rule over the candidates, only prunes
+    more: the rule found is the unseeded one, up to TOL, except that a
+    search ending more than TOL below v(seed) returns the seed.
     """
     cands = sorted(set(candidates))
     if any(j < 0 or j >= inst.d for j in cands):
@@ -119,8 +124,8 @@ def bnb_max(
         floor = min(v_seed - SEED_MARGIN, math.nextafter(v_seed, -math.inf))
         best_v = max(best_v, floor)
 
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    timed_out = False
+    budget = NODE_BUDGET
+    cut = False
     nodes = 0
 
     # suffix_and[i]: rows every candidate from sorted position i on covers,
@@ -141,11 +146,10 @@ def bnb_max(
         _, bound, start, feats, vp, vc, vn = stack.pop()
         if bound <= best_v + TOL:
             continue
+        if nodes == budget:
+            cut = True
+            break
         nodes += 1
-        if deadline is not None and nodes % _TIME_CHECK_EVERY == 0:
-            if time.monotonic() > deadline:
-                timed_out = True
-                break
         children = []
         length = lam * (len(feats) + 1)
         for i in range(start, len(cands)):
@@ -192,7 +196,7 @@ def bnb_max(
     return BnbResult(
         features=tuple(sorted(best_feats)),
         value=best_v,
-        proven_optimal=not timed_out,
+        proven_optimal=not cut,
         nodes=nodes,
     )
 

@@ -41,29 +41,19 @@ from .objective import (
 )
 from .subproblem import SubproblemInstance, build_instance, local_combinatorial_search
 
-SUBPROBLEM_MODES = ("local", "bnb", "bnb-timed")
-# Widest instance the untimed 'bnb' mode accepts: 2^24 subsets.
-BNB_EXACT_CAP = 24
+SUBPROBLEM_MODES = ("local", "bnb")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
     subproblem: str = "local"
-    time_limit: float | None = None
     refine: bool = True
 
     def __post_init__(self) -> None:
         if self.subproblem not in SUBPROBLEM_MODES:
             raise ConfigError(
                 f"unknown subproblem mode {self.subproblem!r}; choose from {SUBPROBLEM_MODES}"
-            )
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ConfigError("time_limit must be positive")
-        if self.time_limit is not None and self.subproblem != "bnb-timed":
-            raise ConfigError(
-                f"time_limit applies only to subproblem mode 'bnb-timed', "
-                f"not {self.subproblem!r}"
             )
 
 
@@ -115,7 +105,7 @@ class TrainReport:
 
     @property
     def all_proven(self) -> bool:
-        """True when every exact-mode solve finished within its budget."""
+        """True when every exact-mode solve finished within its node budget."""
         return all(r.proven_optimal is not False for r in self.iterations)
 
     @property
@@ -163,20 +153,15 @@ SolveMemo = dict[tuple[int, float], Solution]
 def _solve_rule(inst: SubproblemInstance, cfg: TrainConfig) -> Solution:
     """Dispatch one subproblem solve.
 
-    Exact modes seed branch and bound with the local solver's rule, which
-    leaves the rule found unchanged up to TOL (exact_oracle) and makes a
-    solve cut short by the time limit never worse than the local one by
-    more than TOL. The time limit covers only the branch and bound.
+    The exact mode seeds branch and bound with the local solver's rule,
+    which leaves the rule found unchanged up to TOL (exact_oracle) and
+    makes a solve cut short by the node budget never worse than the local
+    one by more than TOL.
     """
-    if cfg.subproblem == "bnb" and inst.d > BNB_EXACT_CAP:
-        raise ConfigError(
-            f"subproblem mode 'bnb' allows at most {BNB_EXACT_CAP} features, "
-            f"got {inst.d}; use 'bnb-timed' or 'local'"
-        )
     feats = local_combinatorial_search(inst, m=cfg.hyperparams.active_size)
     if cfg.subproblem == "local":
         return feats, inst.value(feats), None, None
-    res = bnb_max(inst, range(inst.d), cfg.time_limit, seed=feats)
+    res = bnb_max(inst, range(inst.d), seed=feats)
     return res.features, res.value, res.proven_optimal, res.nodes
 
 
@@ -187,8 +172,9 @@ def _solve(
     the seconds the solve took (0.0 when the memo held it).
 
     build_instance weighs the rows by the positives S covers and by alpha
-    alone, so that pair identifies the instance within one fit. Under
-    bnb-timed a solve cut short by the clock is reused as it was.
+    alone, so that pair identifies the instance within one fit. A solve
+    cut short by the node budget is reused as it was; the budget cuts it at
+    the same node every time.
     """
     key = (data.positives & S.covered, alpha)
     hit = memo.get(key)

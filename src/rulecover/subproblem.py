@@ -232,12 +232,6 @@ class SubproblemInstance:
             self._pos_ub = [pw * (uncovered & col).bit_count() for col in self.columns]
         return self._pos_ub
 
-    def u_of(self, features: Sequence[int]) -> float:
-        return self.u.value(features)
-
-    def w_of(self, features: Sequence[int]) -> float:
-        return self.w.value(features)
-
     def sample_weights(self) -> list[float]:
         out = [0.0] * self.n
         for mask, wt in (

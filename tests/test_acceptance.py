@@ -212,7 +212,7 @@ def test_criterion_05_decomposition_identity(capsys):
         inst, *_ = random_instance(rng, n_max=40, d_max=10)
         feats = tuple(sorted(rng.sample(range(inst.d), rng.randint(0, min(5, inst.d)))))
         direct = ref_rule_value(feats, inst)
-        via_parts = inst.weight_total + inst.u_of(feats) - inst.w_of(feats)
+        via_parts = inst.weight_total + inst.u.value(feats) - inst.w.value(feats)
         max_err = max(
             max_err,
             abs(inst.value(feats) - via_parts),
@@ -321,7 +321,7 @@ def test_criterion_08_small_scale_optimality(capsys):
 
 
 def test_criterion_09_relative_gap_harness(capsys):
-    """Local-search vs untimed branch-and-bound training profits."""
+    """Local-search vs exact branch-and-bound training profits."""
     legs = []
 
     table, schema = tic_tac_toe()

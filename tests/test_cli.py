@@ -1,14 +1,19 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import json
+import os
 import random
+import re
 
 import pytest
 
-from rulecover.cli import run
+from rulecover.cli import build_parser, run
 from rulecover.datasets import tic_tac_toe
 from rulecover.modelio import load_model
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_planted_csv(path, rng, n=80, noise=0.0):
@@ -317,35 +322,43 @@ def test_gap_command_reports_json(tmp_path, capsys):
     assert doc["bnb_nodes"] >= 1
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_time_limit_without_bnb_timed_is_rejected(tmp_path, capsys, command):
-    # The limit binds only bnb-timed solves; with local search it used to be
-    # ignored without a word.
+def test_gap_rejects_subproblem(tmp_path, capsys):
+    # gap always runs both solvers; a --subproblem it would ignore is a
+    # usage error. It still takes --seed, which evaluate shares with it.
     data_csv = tmp_path / "data.csv"
-    write_planted_csv(data_csv, random.Random(12), n=40)
-    argv = [command, "--data", str(data_csv), "--labels-column", "y",
-            "--subproblem", "local", "--time-limit-secs", "0.000001"]
-    if command == "train":
-        argv += ["--model", str(tmp_path / "model.json")]
-    else:
-        argv += ["--folds", "2", "--out", str(tmp_path / "eval.csv")]
-    assert run(argv) == 2
-    assert "bnb-timed" in capsys.readouterr().err
-    assert not (tmp_path / "model.json").exists()
-
-
-def test_gap_applies_time_limit_to_its_exact_run(tmp_path, capsys):
-    data_csv = tmp_path / "data.csv"
-    out_json = tmp_path / "gap.json"
     write_planted_csv(data_csv, random.Random(11), n=60)
-    rc = run(["gap", "--data", str(data_csv), "--labels-column", "y",
-              "--beta2", "0", "--lambda", "0.5", "--k", "2",
-              "--time-limit-secs", "30", "--out", str(out_json)])
-    assert rc == 0
-    with open(out_json) as fh:
-        doc = json.load(fh)
-    assert doc["proven_optimal"] is True
-    assert doc["gap"] == pytest.approx(0.0, abs=1e-9)
+    argv = ["gap", "--data", str(data_csv), "--labels-column", "y"]
+    assert run(argv + ["--subproblem", "bnb"]) == 2
+    assert "--subproblem" in capsys.readouterr().err
+    assert build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
+
+
+def test_evaluate_grid_and_single_are_exclusive(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    grid_json = tmp_path / "grid.json"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    grid_json.write_text('[{"lambda": 0.5}]')
+    rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+              "--grid", str(grid_json), "--single", "--folds", "2"])
+    assert rc == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_readme_names_only_existing_flags():
+    # Every --flag the README names is an option of some subcommand; pip's
+    # install flag is the one it names for another program.
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", fh.read()))
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    assert named - options == {"--no-build-isolation"}
 
 
 def write_ttt_csv(tmp_path):
@@ -395,7 +408,7 @@ def test_train_exact_solver_recovers_perfect_play(tmp_path, capsys):
             "--beta2", "0.1",
             "--lambda", "0.1",
             "--k", "8",
-            "--subproblem", "bnb-timed",
+            "--subproblem", "bnb",
             "--model", str(tmp_path / "ttt-model.json"),
         ]
     )

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from conftest import random_dataset, random_instance, tied_instance
+from conftest import random_dataset, random_hyperparams, random_instance, tied_instance
+from rulecover import exact_oracle
 from rulecover.dataset import BinaryDataset
 from rulecover.exact_oracle import (
     BnbResult,
@@ -366,25 +367,28 @@ def test_bnb_is_deterministic():
     assert r1 == r2
 
 
-def test_bnb_reports_timeout_honestly():
+def test_bnb_reports_timeout_honestly(monkeypatch):
     # dense mixed-label columns with no literal price keep the optimistic
-    # bound high everywhere, so a tiny budget must trip the deadline and
-    # clear the optimality flag
+    # bound high everywhere, so a small node budget must cut the search
+    # and clear the optimality flag
     rng = random.Random(7)
     data = random_dataset(rng, n=60, d=20, density=0.9, pos_frac=0.5)
     h = Hyperparams(beta0=1.0, beta1=1.0, beta2=0.0, lam=0.0)
     inst = build_instance(RuleSet(), data, h, 1.0)
-    res = bnb_max(inst, range(20), time_limit=1e-6)
-    assert not res.proven_optimal
-    assert res.value == pytest.approx(inst.value(res.features), abs=1e-9)
     full = bnb_max(inst, range(20))
     assert full.proven_optimal
+    budget = 256
+    monkeypatch.setattr(exact_oracle, "NODE_BUDGET", budget)
+    res = bnb_max(inst, range(20))
+    assert not res.proven_optimal
+    assert res.nodes == budget
+    assert res.value == pytest.approx(inst.value(res.features), abs=1e-9)
     assert full.value >= res.value - 1e-9
 
 
-def test_bnb_cut_short_is_never_worse_than_its_seed():
+def test_bnb_cut_short_is_never_worse_than_its_seed(monkeypatch):
     # A larger instance of the kind in test_bnb_reports_timeout_honestly,
-    # where the unseeded search cut short at its first clock check falls
+    # where the unseeded search cut short by a small node budget falls
     # below the local solver's rule; seeded with that rule, the cut-short
     # search returns the better of its incumbent and the seed.
     rng = random.Random(7)
@@ -392,13 +396,49 @@ def test_bnb_cut_short_is_never_worse_than_its_seed():
     h = Hyperparams(beta0=1.0, beta1=1.0, beta2=0.0, lam=0.0)
     inst = build_instance(RuleSet(), data, h, 1.0)
     seed = local_combinatorial_search(inst, m=16)
-    cut = bnb_max(inst, range(24), time_limit=1e-6)
+    budget = 256
+    monkeypatch.setattr(exact_oracle, "NODE_BUDGET", budget)
+    cut = bnb_max(inst, range(24))
     assert not cut.proven_optimal
+    assert cut.nodes == budget
     assert cut.value < inst.value(seed)
-    res = bnb_max(inst, range(24), time_limit=1e-6, seed=seed)
+    res = bnb_max(inst, range(24), seed=seed)
     assert not res.proven_optimal
+    assert res.nodes == budget
     assert res.value >= inst.value(seed)
     assert res.value == inst.value(res.features)
+
+
+def test_bnb_proves_optimal_within_a_budget_of_every_subset(monkeypatch):
+    # Each node is a distinct subset of the candidates, so a budget of
+    # 2^|cands| nodes never cuts a search: it ends proven and matches the
+    # exhaustive oracle, also on dense lam = 0 instances, where the bound
+    # prunes least.
+    rng = random.Random(22)
+    for trial in range(40):
+        dense = trial % 2 == 0
+        data = random_dataset(
+            rng, n=rng.randint(10, 40), d=rng.randint(1, 10),
+            density=0.9 if dense else 0.5, pos_frac=rng.uniform(0.2, 0.8),
+        )
+        h = Hyperparams(beta2=0.0, lam=0.0) if dense else random_hyperparams(rng)
+        inst = build_instance(RuleSet(), data, h, 1.0)
+        cands = sorted(rng.sample(range(inst.d), rng.randint(1, inst.d)))
+        monkeypatch.setattr(exact_oracle, "NODE_BUDGET", 2 ** len(cands))
+        res = bnb_max(inst, cands)
+        _, best_v = enumerate_best(inst, cands)
+        assert res.proven_optimal
+        assert res.nodes <= 2 ** len(cands)
+        assert res.value == pytest.approx(best_v, abs=1e-9)
+        # A budget of exactly the nodes the search visits does not cut it;
+        # one node less cuts it at exactly that many.
+        monkeypatch.setattr(exact_oracle, "NODE_BUDGET", res.nodes)
+        assert bnb_max(inst, cands) == res
+        if res.nodes:
+            monkeypatch.setattr(exact_oracle, "NODE_BUDGET", res.nodes - 1)
+            cut = bnb_max(inst, cands)
+            assert not cut.proven_optimal
+            assert cut.nodes == res.nodes - 1
 
 
 def test_bnb_counts_nodes():

@@ -45,13 +45,6 @@ def test_train_config_validation():
         TrainConfig(subproblem=mode)
     with pytest.raises(ConfigError):
         TrainConfig(subproblem="exact")
-    with pytest.raises(ConfigError):
-        TrainConfig(time_limit=0.0)
-    # A time limit binds only bnb-timed; elsewhere it would be ignored.
-    TrainConfig(subproblem="bnb-timed", time_limit=1.0)
-    for mode in ("local", "bnb"):
-        with pytest.raises(ConfigError, match="bnb-timed"):
-            TrainConfig(subproblem=mode, time_limit=1.0)
 
 
 def test_greedy_respects_rule_budget():
@@ -114,12 +107,69 @@ def test_greedy_profit_never_negative():
         assert report.greedy_profit >= -1e-9
 
 
-def test_exact_mode_rejects_wide_instances():
+def _report_less_seconds(report):
+    out = report.as_dict()
+    for key in ("greedy_seconds", "refine_seconds", "fit_seconds"):
+        del out[key]
+    for it in out["iterations"]:
+        del it["seconds"]
+    return out
+
+
+def _record_bnb(monkeypatch):
+    """Route the learner's branch and bound through a recorder; returns the
+    list of (instance, seed, result) it fills."""
+    calls = []
+    bnb = exact_oracle.bnb_max
+
+    def recording(inst, candidates, seed=None):
+        res = bnb(inst, candidates, seed=seed)
+        calls.append((inst, seed, res))
+        return res
+
+    monkeypatch.setattr(learner, "bnb_max", recording)
+    return calls
+
+
+def test_exact_mode_on_wide_instances_is_deterministic(monkeypatch):
+    # Wider than 2^24 subsets can reach the node budget: the fit still
+    # runs, gives the same report twice, and no solve falls below the
+    # local solver's rule, which seeds it.
     rng = random.Random(6)
     data = random_dataset(rng, n=20, d=30)
-    with pytest.raises(ConfigError, match="bnb-timed"):
-        distorted_greedy(data, TrainConfig(subproblem="bnb"))
-    distorted_greedy(data, TrainConfig(subproblem="bnb-timed", time_limit=0.5))
+    calls = _record_bnb(monkeypatch)
+    cfg = TrainConfig(subproblem="bnb")
+    S1, rep1 = train(data, cfg)
+    S2, rep2 = train(data, cfg)
+    assert S1.feature_sets() == S2.feature_sets()
+    assert _report_less_seconds(rep1) == _report_less_seconds(rep2)
+    assert calls
+    for inst, seed, res in calls:
+        assert res.value >= inst.value(seed)
+
+
+def test_budget_cut_fit_is_deterministic(monkeypatch):
+    # A fit whose solves reach the node budget is still a pure function of
+    # its input: the budget cuts each solve at the same node every run.
+    budget = 50
+    monkeypatch.setattr(exact_oracle, "NODE_BUDGET", budget)
+    rng = random.Random(17)
+    data = random_dataset(rng, n=200, d=24, density=0.9)
+    calls = _record_bnb(monkeypatch)
+    cfg = TrainConfig(hyperparams=Hyperparams(beta2=0.0, lam=0.0, max_rules=3),
+                      subproblem="bnb")
+    S1, rep1 = train(data, cfg)
+    S2, rep2 = train(data, cfg)
+    assert S1.feature_sets() == S2.feature_sets()
+    assert _report_less_seconds(rep1) == _report_less_seconds(rep2)
+    assert not rep1.all_proven
+    cut = [r for r in rep1.iterations if r.proven_optimal is False]
+    assert cut and all(r.bnb_nodes == budget for r in cut)
+    for inst, seed, res in calls:
+        assert res.nodes <= budget
+        if not res.proven_optimal:
+            assert res.nodes == budget
+        assert res.value >= inst.value(seed)
 
 
 def test_exact_mode_satisfies_greedy_guarantee_quickly():
@@ -209,8 +259,8 @@ def test_round_skips_and_seeds_change_no_result(monkeypatch, mode):
 
     bnb = exact_oracle.bnb_max
 
-    def unseeded(inst, candidates, time_limit=None, seed=None):
-        return bnb(inst, candidates, time_limit)
+    def unseeded(inst, candidates, seed=None):
+        return bnb(inst, candidates)
 
     monkeypatch.setattr(exact_oracle, "bnb_max", unseeded)
     monkeypatch.setattr(learner, "bnb_max", unseeded)
@@ -230,26 +280,28 @@ def test_round_skips_and_seeds_change_no_result(monkeypatch, mode):
 
 
 def _report_less_timing_and_nodes(report):
-    out = report.as_dict()
-    for key in ("greedy_seconds", "refine_seconds", "fit_seconds", "bnb_nodes"):
-        del out[key]
+    out = _report_less_seconds(report)
+    del out["bnb_nodes"]
     for it in out["iterations"]:
-        del it["bnb_nodes"], it["seconds"]
+        del it["bnb_nodes"]
     return out
 
 
-def test_timed_exact_solve_is_never_worse_than_local():
-    # Cut short at its first clock check, a bnb-timed solve still returns at
-    # least the local solver's rule.
+def test_timed_exact_solve_is_never_worse_than_local(monkeypatch):
+    # Cut short by the node budget, a bnb solve still returns at least the
+    # local solver's rule.
+    budget = 256
+    monkeypatch.setattr(exact_oracle, "NODE_BUDGET", budget)
     rng = random.Random(16)
     for _ in range(10):
         data = random_dataset(rng, n=200, d=24, density=0.9)
         inst = build_instance(RuleSet(), data, Hyperparams(lam=0.0), 1.0)
         local = learner.local_combinatorial_search(inst)
-        cfg = TrainConfig(subproblem="bnb-timed", time_limit=1e-6)
-        feats, v, proven, _ = learner._solve_rule(inst, cfg)
+        cfg = TrainConfig(subproblem="bnb")
+        feats, v, proven, nodes = learner._solve_rule(inst, cfg)
         assert v == inst.value(feats) >= inst.value(local)
         assert proven is False
+        assert nodes == budget
 
 
 def test_refine_never_lowers_profit():

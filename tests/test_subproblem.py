@@ -73,8 +73,8 @@ def test_u_w_of_empty_set_are_zero():
     rng = random.Random(4)
     for _ in range(30):
         inst, *_ = random_instance(rng)
-        assert inst.u_of(()) == 0.0
-        assert inst.w_of(()) == 0.0
+        assert inst.u.value(()) == 0.0
+        assert inst.w.value(()) == 0.0
 
 
 def test_value_decomposition_identity():
@@ -85,7 +85,7 @@ def test_value_decomposition_identity():
         inst, *_ = random_instance(rng)
         k = rng.randint(0, min(4, inst.d))
         feats = tuple(sorted(rng.sample(range(inst.d), k)))
-        via_parts = inst.weight_total + inst.u_of(feats) - inst.w_of(feats)
+        via_parts = inst.weight_total + inst.u.value(feats) - inst.w.value(feats)
         assert abs(inst.value(feats) - via_parts) <= 1e-9
         assert abs(inst.value(feats) - ref_rule_value(feats, inst)) <= 1e-9
 
