@@ -334,7 +334,8 @@ def _encode_column(
                 if not set(col) <= {"0", "1"}:
                     bad = next(v for v in col if v not in ("0", "1"))
                     raise DataError(f"{name}: non-binary value {bad!r}")
-                packed[key] = pack_bools(map("1".__eq__, col))
+                # Every cell is "0" or "1": the cells are the digits.
+                packed[key] = int("".join(col)[::-1] or "0", 2)
         else:
             key, positive = ("=", desc.operand), desc.kind == "categorical-eq"
             if key not in packed:

@@ -3,22 +3,31 @@
 bnb_max solves the single-rule subproblem exactly over a candidate
 feature set by depth-first branch and bound. Each node fixes a rule R and
 may only add candidates at later sorted positions, so the tree enumerates
-subsets without repeats. With suf(R) the AND of every candidate column
-R may still add, the bound
+subsets without repeats. A child R + c is priced when R generates it, so
+its stack entry only has to bound the strict descendants of R + c, each of
+which holds at least |R|+2 features. With suf the AND of every candidate
+column R + c may still add, the bound
 
-    bound(R) = pos_weight * |vp(R)| - beta2 * |vc(R) & suf(R)|
-               - beta0 * |vn(R) & suf(R)| - lam*|R|
+    bound(R + c) = pos_weight * |vp(R + c)| - beta2 * |vc(R + c) & suf|
+                   - beta0 * |vn(R + c) & suf| - lam*(|R|+2)
 
-dominates v(R') for every descendant R' of R (CORELS-style, Angelino et
-al. 2017). R' adds only columns from that suffix, so it covers a subset of
-vp(R) and at least vc(R) & suf(R) and vn(R) & suf(R), and it pays at least
-lam*|R| length cost. The weights make each of these a loss: Hyperparams
-keeps beta0, beta2 and lam nonnegative, and build_instance requires
-pos_weight > 0. Pruning on the bound is therefore lossless and the search
-is exact unless it reaches NODE_BUDGET, which the result reports honestly.
-Every node is a distinct subset of the candidates, so a search over at
-most 24 candidates always ends on its own. The budget cuts a search at the
-same node on every run, so a cut search is as deterministic as a full one.
+dominates v(R') for every strict descendant R' of R + c (CORELS-style,
+Angelino et al. 2017). R' adds only columns from that suffix, so it covers
+a subset of vp(R + c) and at least vc(R + c) & suf and vn(R + c) & suf,
+and it pays at least lam*(|R|+2) length cost. The weights make each of
+these a loss: Hyperparams keeps beta0, beta2 and lam nonnegative, and
+build_instance requires pos_weight > 0. The bound is computed in the same
+operation order as SubproblemInstance.score, so by the monotonicity
+argument of SubproblemInstance.pos_ub it also dominates the rounded
+v(R'). Charging lam*(|R|+1) and then lam once more would not: its two
+roundings could leave the bound an ulp below v(R'), and an ulp exceeds
+TOL once values pass about 1e4. A child at the last sorted candidate has
+no descendants and is never pushed. Pruning on the bound is therefore
+lossless and the search is exact unless it reaches NODE_BUDGET, which the
+result reports honestly. Every node is a distinct subset of the
+candidates, so a search over at most 24 candidates always ends on its
+own. The budget cuts a search at the same node on every run, so a cut
+search is as deterministic as a full one.
 
 Before pricing a child R + c, the search drops it when even its
 support bound pos_ub[c] - lam*(|R|+1) cannot beat the incumbent (see
@@ -89,14 +98,17 @@ def bnb_max(
 
     Candidates are explored in decreasing order of their singleton
     exclusion gain (ties by index), children in decreasing order of
-    pos_weight*|vp| - lam*|R|. A node is pruned when its bound (module
-    docstring) cannot beat the incumbent by more than the tolerance, so
-    ties keep the first-found rule and the search is deterministic. A
-    search that ends within NODE_BUDGET nodes is provably optimal; one that
-    would visit more stops after exactly NODE_BUDGET and reports
-    proven_optimal=False. A seed, a rule over the candidates, only prunes
-    more: the rule found is the unseeded one, up to TOL, except that a
-    search ending more than TOL below v(seed) returns the seed.
+    pos_weight*|vp| - lam*|R|. Each child is priced when it is generated,
+    and it is pushed only when its bound (module docstring), which covers
+    its strict descendants (at least one literal longer, priced in the
+    same operation order), can beat the incumbent by more than the
+    tolerance; a child at the last candidate, which has no descendants,
+    is never pushed. Ties keep the first-found rule and the search is
+    deterministic. A search that ends within NODE_BUDGET nodes is provably
+    optimal; one that would visit more stops after exactly NODE_BUDGET and
+    reports proven_optimal=False. A seed, a rule over the candidates, only
+    prunes more: the rule found is the unseeded one, up to TOL, except that
+    a search ending more than TOL below v(seed) returns the seed.
     """
     cands = sorted(set(candidates))
     if any(j < 0 or j >= inst.d for j in cands):
@@ -136,8 +148,8 @@ def bnb_max(
 
     # Stack entries: (sort key, bound, next candidate index, features, vp,
     # vc, vn). The bound, which also charges the rows no descendant can
-    # shed, prunes. Siblings are ordered (stable sort) by the key,
-    # pos_weight*|vp| - lam*|R|, which omits those terms; so the nodes
+    # shed and one more literal, prunes. Siblings are ordered (stable sort)
+    # by the key, pos_weight*|vp| - lam*|R|, which omits those; so the nodes
     # visited are those a key-only bound would visit, less the pruned ones,
     # in the same order, and ties keep the same first-found rule.
     root_bound = pos_weight * vp0.bit_count()
@@ -152,6 +164,7 @@ def bnb_max(
         nodes += 1
         children = []
         length = lam * (len(feats) + 1)
+        deeper = lam * (len(feats) + 2)
         for i in range(start, len(cands)):
             # Support screen (SubproblemInstance.pos_ub): the child's value and
             # key are at most cand_ub[i] - length <= best_v, so it could
@@ -174,15 +187,21 @@ def bnb_max(
             if v_child > best_v:
                 best_v = v_child
                 best_feats = feats + (cands[i],)
-            # The two suffix ANDs are paid only for a child the key does not
-            # prune already.
-            if key > best_v + TOL:
+            # The child is priced, so its entry only bounds its strict
+            # descendants, which hold at least |R|+2 features: charge
+            # `deeper`, in the same operation order as their value (not
+            # child_bound - lam, whose two roundings can leave it an ulp
+            # below a descendant's value). A child at the last candidate
+            # has no descendants, so it is not pushed and its suffix ANDs
+            # are skipped, as they are for a child whose bound without
+            # them prunes it already.
+            if i + 1 < len(cands) and gain - deeper > best_v + TOL:
                 suf = suffix_and[i + 1]
                 child_bound = (
                     gain
                     - beta2 * (cvc & suf).bit_count()
                     - beta0 * (cvn & suf).bit_count()
-                    - length
+                    - deeper
                 )
                 if child_bound > best_v + TOL:
                     children.append(

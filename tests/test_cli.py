@@ -6,6 +6,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -342,6 +344,31 @@ def test_evaluate_grid_and_single_are_exclusive(tmp_path, capsys):
               "--grid", str(grid_json), "--single", "--folds", "2"])
     assert rc == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evaluate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    # A worker count below one used to run serially without a word.
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+              "--single", "--folds", "2", "--jobs", jobs])
+    assert rc == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only evaluate --jobs > 1 needs a process pool; importing it pulls in
+    # multiprocessing, socket and pickle for every command.
+    code = (
+        "import sys, rulecover.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_names_only_existing_flags():

@@ -112,7 +112,50 @@ def test_bnb_matches_enumeration_when_suffix_terms_prune():
 
 def unscreened_bnb(inst, candidates):
     """bnb_max without the support screen: every child is priced with its
-    three ANDs. Returns (features, value, nodes)."""
+    three ANDs. Returns (features, value, nodes, suffix-priced children)."""
+    u_sing = inst.u.singletons()
+    cands = sorted(set(candidates), key=lambda j: (-u_sing[j], j))
+    columns, pw, lam = inst.columns, inst.pos_weight, inst.lam
+    suffix_and = [(1 << inst.n) - 1] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix_and[i] = suffix_and[i + 1] & columns[cands[i]]
+    vp0, vc0, vn0 = inst.uncovered_pos, inst.covered_pos, inst.negatives
+    best_feats, best_v, nodes, priced = (), inst.score(vp0, vc0, vn0, 0), 0, 0
+    root = pw * vp0.bit_count()
+    stack = [(root, root, 0, (), vp0, vc0, vn0)]
+    while stack:
+        _, bound, start, feats, vp, vc, vn = stack.pop()
+        if bound <= best_v + TOL:
+            continue
+        nodes += 1
+        children = []
+        length = lam * (len(feats) + 1)
+        deeper = lam * (len(feats) + 2)
+        for i in range(start, len(cands)):
+            col = columns[cands[i]]
+            cvp, cvc, cvn = vp & col, vc & col, vn & col
+            gain = pw * cvp.bit_count()
+            v_child = gain - inst.beta2 * cvc.bit_count() - inst.beta0 * cvn.bit_count() - length
+            if v_child > best_v:
+                best_v, best_feats = v_child, feats + (cands[i],)
+            if i + 1 < len(cands) and gain - deeper > best_v + TOL:
+                priced += 1
+                suf = suffix_and[i + 1]
+                child_bound = (gain - inst.beta2 * (cvc & suf).bit_count()
+                               - inst.beta0 * (cvn & suf).bit_count() - deeper)
+                if child_bound > best_v + TOL:
+                    children.append((gain - length, child_bound, i + 1,
+                                     feats + (cands[i],), cvp, cvc, cvn))
+        children.sort(key=lambda c: c[0])
+        stack.extend(children)
+    return tuple(sorted(best_feats)), best_v, nodes, priced
+
+
+def shallow_bnb(inst, candidates):
+    """unscreened_bnb with the bound bnb_max had before it charged strict
+    descendants one more literal: a child's entry is bounded with its own
+    length cost, and children at the last candidate are priced with the
+    suffix ANDs too. Returns (features, value, nodes)."""
     u_sing = inst.u.singletons()
     cands = sorted(set(candidates), key=lambda j: (-u_sing[j], j))
     columns, pw, lam = inst.columns, inst.pos_weight, inst.lam
@@ -152,63 +195,74 @@ def unscreened_bnb(inst, candidates):
 
 class TaggedMask(int):
     """A row mask tagged with the instance mask it lies in ("p" for the
-    uncovered positives, "c" for the covered positives)."""
+    uncovered positives, "c" for the covered positives), and with the
+    counter of CountingColumn; a "c" mask ANDed with anything but a column
+    (in bnb_max, a suffix AND) counts there as "c&suffix"."""
 
-    def __new__(cls, value, kind=None):
+    def __new__(cls, value, kind=None, ands=None):
         mask = super().__new__(cls, value)
         mask.kind = kind
+        mask.ands = ands
         return mask
+
+    def __and__(self, other):
+        if self.kind == "c" and self.ands is not None:
+            self.ands["c&suffix"] += 1
+        return int(self) & int(other)
 
 
 class CountingColumn(TaggedMask):
     """A column that counts in ands, by tag, the masks ANDed into it. As a
-    subclass of TaggedMask it takes `mask & column` before int does."""
+    subclass of TaggedMask it takes `mask & column` before TaggedMask
+    does."""
 
     def __new__(cls, value, ands):
-        col = super().__new__(cls, value)
-        col.ands = ands
-        return col
+        return super().__new__(cls, value, None, ands)
 
     def __rand__(self, other):
         kind = getattr(other, "kind", None)
         self.ands[kind] += 1
-        return TaggedMask(int(other) & int(self), kind)
+        return TaggedMask(int(other) & int(self), kind, self.ands)
 
 
-def bnb_with_cover_skips(inst, candidates):
-    """bnb_max's result on inst, and the children it skipped by the support
-    screen at the node's cover. Every child that passes the instance-level
-    screen ANDs the node's vp into its column; of those, the ones the cover
-    screen passes also AND vc."""
+def bnb_with_counted_ands(inst, candidates):
+    """bnb_max's result on inst, the children it skipped by the support
+    screen at the node's cover, and the children it priced with the two
+    suffix ANDs. Every child that passes the instance-level screen ANDs the
+    node's vp into its column; of those, the ones the cover screen passes
+    also AND vc, and the ones the bound without suffix terms passes AND
+    their vc with the suffix."""
     inst.pos_ub()  # cached first: it ANDs every column too
     ands = collections.Counter()
     counted = dataclasses.replace(
         inst,
         columns=[CountingColumn(col, ands) for col in inst.columns],
         uncovered_pos=TaggedMask(inst.uncovered_pos, "p"),
-        covered_pos=TaggedMask(inst.covered_pos, "c"),
+        covered_pos=TaggedMask(inst.covered_pos, "c", ands),
     )
     res = bnb_max(counted, candidates)
-    return res, ands["p"] - ands["c"]
+    return res, ands["p"] - ands["c"], ands["c&suffix"]
 
 
 def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
     # Integer weights make many subsets tie exactly with the incumbent, the
     # case where a screen that skipped a child whose value equals best_v
     # plus a little would pick another rule or visit other nodes. Both
-    # screens, at the instance level and at the node's cover, must fire.
+    # screens, at the instance level and at the node's cover, must fire,
+    # and the suffix ANDs must be taken for the same children as without
+    # them (only those the bound without suffix terms leaves open).
     rng = random.Random(25)
     cover_screened = 0
-    for case in range(300):
+    for case in range(360):
         if case % 3:
             inst = tied_instance(rng, n_max=60, d_max=12)
         else:
             inst, *_ = random_instance(rng, n_max=60, d_max=12)
         cands = sorted(rng.sample(range(inst.d), rng.randint(0, inst.d)))
         res = bnb_max(inst, cands)
-        assert (res.features, res.value, res.nodes) == unscreened_bnb(inst, cands)
-        counted, skips = bnb_with_cover_skips(inst, cands)
+        counted, skips, priced = bnb_with_counted_ands(inst, cands)
         assert counted == res
+        assert (res.features, res.value, res.nodes, priced) == unscreened_bnb(inst, cands)
         cover_screened += skips
         feats, best_v = enumerate_best(inst, cands)
         assert res.proven_optimal
@@ -218,6 +272,96 @@ def test_bnb_screen_keeps_rules_and_nodes_on_tied_instances():
         else:
             assert res.value == pytest.approx(best_v, abs=1e-9)
     assert cover_screened > 300
+
+
+def test_deeper_bound_keeps_rules_and_visits_fewer_nodes():
+    # bnb_max charges a child's descendants one literal more than
+    # shallow_bnb. It must return the same rule, and visit no more nodes
+    # on any instance and fewer over all. With lam = 0 (a third of the
+    # cases) the two bounds are equal, so the nodes must be too.
+    rng = random.Random(33)
+    nodes = shallow_nodes = 0
+    for case in range(330):
+        if case % 2:
+            inst = tied_instance(rng, n_max=60, d_max=12)
+        else:
+            inst, *_ = random_instance(rng, n_max=60, d_max=12)
+        # bnb_max reads lam only as inst.lam (w, which lam also sets, is
+        # not used); 1 keeps tied instances integer.
+        inst = dataclasses.replace(inst, lam=0.0 if case % 3 == 0 else inst.lam or 1.0)
+        cands = sorted(rng.sample(range(inst.d), rng.randint(0, inst.d)))
+        res = bnb_max(inst, cands)
+        feats, value, old_nodes = shallow_bnb(inst, cands)
+        _, best_v = enumerate_best(inst, cands)
+        assert (res.features, res.value) == (feats, value)
+        assert res.proven_optimal
+        assert inst.value(res.features) == res.value
+        if case % 2:
+            assert res.value == best_v
+        else:
+            assert res.value == pytest.approx(best_v, abs=1e-9)
+        assert res.nodes <= old_nodes
+        if inst.lam == 0:
+            assert res.nodes == old_nodes
+        nodes += res.nodes
+        shallow_nodes += old_nodes
+    assert nodes < shallow_nodes
+
+
+def test_deeper_bound_keeps_rule_when_values_exceed_2_to_24():
+    # Weights of 1e5-3e5 on a few thousand rows put v above 2**24, where one
+    # ulp of v exceeds TOL: a bound that rounded a single ulp above a
+    # descendant's value would prune it. alpha < 1 makes the weights
+    # non-integer, so the products round. Labels follow a planted rule, so
+    # the optimum is not the empty rule.
+    rng = random.Random(35)
+    for case in range(12):
+        planted = rng.sample(range(8), rng.randint(1, 3))
+        rows = [[int(rng.random() < 0.7) for _ in range(8)] for _ in range(3000)]
+        labels = [int(all(r[j] for j in planted) != (rng.random() < 0.1)) for r in rows]
+        data = BinaryDataset.from_matrix(rows, labels)
+        h = Hyperparams(
+            beta0=rng.choice([1e5, 2e5, 3e5]),
+            beta1=rng.choice([1e5, 3e5]),
+            beta2=0.0,
+            lam=rng.choice([1e5, 2e5, 3e5]),
+        )
+        alpha = 1.0 if case % 2 else rng.uniform(0.37, 1.0)
+        inst = build_instance(RuleSet(), data, h, alpha)
+        cands = range(inst.d)
+        res = bnb_max(inst, cands)
+        feats, value, old_nodes = shallow_bnb(inst, cands)
+        best, best_v = enumerate_best(inst, cands)
+        assert best and abs(best_v) >= 2**24
+        assert (res.features, res.value) == (feats, value)
+        assert res.value == inst.value(res.features) == best_v
+        assert res.nodes <= old_nodes
+
+
+def test_bnb_charges_descendants_one_more_literal_and_never_prices_leaves():
+    # Row 3 is the one positive and holds both features; rows 0 and 2 are
+    # negatives holding one each. With pos_weight = beta0 = 1:
+    rows = [[0, 1], [0, 0], [1, 0], [1, 1]]
+    data = BinaryDataset.from_matrix(rows, [0, 0, 0, 1])
+    h = Hyperparams(beta0=1, beta1=1, beta2=0, lam=0)
+    flat = build_instance(RuleSet(), data, h, 1.0)
+    priced = build_instance(RuleSet(), data, dataclasses.replace(h, lam=1), 1.0)
+    assert flat.pos_weight == priced.pos_weight == 1.0
+    # One candidate, lam = 0: v() = 1 - 3 and v({c}) = 1 - 1. The root is
+    # the only node, and its child is a leaf: priced, but neither pushed
+    # nor bounded with the suffix ANDs, though 1 - 0 > 0 would pass the
+    # bound without them.
+    for c in (0, 1):
+        res, _, suffix_priced = bnb_with_counted_ands(flat, [c])
+        assert (res.features, res.value, res.nodes, suffix_priced) == ((c,), 0.0, 1, 0)
+    # Two candidates, lam = 1: v() = -2 and v({0}) = v({1}) = v({0, 1}) =
+    # -1. {0} comes first (the two tie on every count) and becomes the
+    # incumbent. Its one descendant, {0, 1}, is bounded by 1 - 0 - 2 = -1,
+    # so {0} is not pushed, nor its suffix ANDs taken (1 - 2 is no better
+    # than -1); the bound with {0}'s own length, 1 - 1 = 0, expanded it.
+    res, _, suffix_priced = bnb_with_counted_ands(priced, [0, 1])
+    assert (res.features, res.value, res.nodes, suffix_priced) == ((0,), -1.0, 1, 0)
+    assert shallow_bnb(priced, [0, 1]) == ((0,), -1.0, 2)
 
 
 def tied_optima(inst, cands):
