@@ -7,7 +7,7 @@ op, which is what the solver hot loops need.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def all_ones(n: int) -> int:
@@ -30,13 +30,24 @@ def bit_indices(x: int) -> Iterator[int]:
         x ^= low
 
 
-def subset_bits(x: int, rows: Iterable[int]) -> int:
-    """Re-index x onto the given rows: new bit i = old bit rows[i]."""
-    out = 0
-    for i, r in enumerate(rows):
-        if (x >> r) & 1:
-            out |= 1 << i
-    return out
+def complement_pairs(columns: Sequence[int], universe: int) -> list[tuple[int, int, bool]]:
+    """Pair plan of a column list: entries (j, columns[j], paired), read left
+    to right. paired means columns[j + 1] == universe ^ columns[j]; the
+    pair then has one entry, and the next entry starts at j + 2.
+
+    For a mask m within universe, |m & columns[j + 1]| = |m| - |m &
+    columns[j]| exactly, so a scan over the plan counts both columns of a
+    pair with one AND.
+    """
+    plan = []
+    d = len(columns)
+    j = 0
+    while j < d:
+        col = columns[j]
+        paired = j + 1 < d and columns[j + 1] == universe ^ col
+        plan.append((j, col, paired))
+        j += 2 if paired else 1
+    return plan
 
 
 def intersect_all(columns: Iterable[int], universe: int) -> int:

@@ -9,6 +9,12 @@ polarities of every condition:
   numeric column x, cut point t      ->  [x <= t] and [x > t]
   binary column x                    ->  [x = 1] and [x = 0]
 
+The two features of a pair are adjacent, the second the complement of
+the first within the universe. The rule search exploits that: its
+full-width scans count a pair with one AND (bits.complement_pairs). It
+does not rely on it: it finds the pairs from the bits, and scans a column
+with no complement beside it on its own, with the same results.
+
 Numeric cut points are the sample deciles (empirical quantiles at
 q = 0.1..0.9 by sorted-order index ceil(q*n) - 1, deduplicated).
 Constant columns carry no signal and are skipped with a warning.
@@ -27,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .bits import all_ones, pack_bools, subset_bits
+from .bits import all_ones, complement_pairs, pack_bools
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -230,6 +236,9 @@ class BinaryDataset:
     descriptors: list[FeatureDescriptor]
 
     universe: int = field(init=False)
+    _pair_plan: list[tuple[int, int, bool]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.descriptors):
@@ -266,13 +275,11 @@ class BinaryDataset:
     def row_bits(self, i: int) -> list[int]:
         return [(c >> i) & 1 for c in self.columns]
 
-    def subset(self, rows: Sequence[int]) -> "BinaryDataset":
-        return BinaryDataset(
-            n=len(rows),
-            columns=[subset_bits(c, rows) for c in self.columns],
-            labels=subset_bits(self.labels, rows),
-            descriptors=list(self.descriptors),
-        )
+    def pair_plan(self) -> list[tuple[int, int, bool]]:
+        """bits.complement_pairs of the columns, built on first use."""
+        if self._pair_plan is None:
+            self._pair_plan = complement_pairs(self.columns, self.universe)
+        return self._pair_plan
 
     @classmethod
     def from_matrix(

@@ -37,6 +37,22 @@ therefore skip work without changing any result:
 The exact search is seeded with the best rule on that path, which holds
 the rule the round starts from; a seed changes no rule bnb_max returns.
 
+The full-width scans (enlarge's ratio step, ExclusionCoverage's
+marginals_given and singletons, and SubproblemInstance.pos_ub) walk the
+instance's pair plan (bits.complement_pairs): column j + 1 is paired with
+j when it equals universe ^ column j, as binarize always makes it. For a
+mask m within the universe,
+
+    |m & col_{j+1}| = |m| - |m & col_j|
+
+holds exactly in integers. So one AND per mask gives both counts: the
+rows j + 1 excludes from m are the |m & col_j| that j keeps, and the rows
+j excludes are |m| - |m & col_j| as before. Every float expression then
+gets the integer operands the per-column scan gave it, in the same
+operation order; enlarge still weighs j before j + 1 with the same
+strict >, so ties pick the same feature and every result is bit-identical.
+Unpaired columns keep the per-column arithmetic.
+
 enlarge stops scanning once every candidate ties. When the rule covers
 no negatives and no covered positives, every u-gain is 0.0; with lam > 0
 every w-gain is at least lam, so every ratio is 0.0, and with lam == 0
@@ -52,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .bits import intersect_all
+from .bits import complement_pairs, intersect_all
 from .dataset import BinaryDataset
 from .objective import TOL, ConfigError, Hyperparams, RuleSet
 
@@ -67,7 +83,7 @@ class ExclusionCoverage:
     excludes. Nonnegative, monotone, and submodular in A.
     """
 
-    __slots__ = ("columns", "universe", "d", "terms", "per_element", "_singletons")
+    __slots__ = ("columns", "universe", "d", "terms", "per_element", "pairs", "_singletons")
 
     def __init__(
         self,
@@ -75,12 +91,16 @@ class ExclusionCoverage:
         universe: int,
         terms: Iterable[tuple[float, int]],
         per_element: float = 0.0,
+        pairs: list[tuple[int, int, bool]] | None = None,
     ) -> None:
         self.columns = list(columns)
         self.universe = universe
         self.d = len(self.columns)
         self.terms = [(float(c), m) for c, m in terms if c > 0 and m]
         self.per_element = float(per_element)
+        # bits.complement_pairs of the columns; build_instance passes the
+        # dataset's.
+        self.pairs = complement_pairs(self.columns, universe) if pairs is None else pairs
         self._singletons: list[float] | None = None
 
     def cover(self, features: Iterable[int]) -> int:
@@ -100,20 +120,35 @@ class ExclusionCoverage:
         return self._singletons
 
     def marginals_given(self, base: Sequence[int]) -> list[float]:
-        """f(j | base) for every j not in base; entries for j in base are 0."""
+        """f(j | base) for every j not in base; entries for j in base are 0.
+
+        Walks the pair plan: the complement j + 1 of a paired j excludes
+        exactly the |mv & col_j| rows of mask mv that j keeps (module
+        docstring), so each term is ANDed once per pair.
+        """
         base_set = set(base)
         cov = self.cover(base)
         state = [(coef, mask & cov, (mask & cov).bit_count()) for coef, mask in self.terms]
         gains = [0.0] * self.d
-        columns = self.columns
-        for j in range(self.d):
-            if j in base_set:
+        per_element = self.per_element
+        for j, col, paired in self.pairs:
+            if not paired:
+                if j in base_set:
+                    continue
+                g = per_element
+                for coef, mv, pc in state:
+                    g += coef * (pc - (mv & col).bit_count())
+                gains[j] = g
                 continue
-            col = columns[j]
-            g = self.per_element
+            g = gc = per_element
             for coef, mv, pc in state:
-                g += coef * (pc - (mv & col).bit_count())
-            gains[j] = g
+                kept = (mv & col).bit_count()
+                g += coef * (pc - kept)
+                gc += coef * kept
+            if j not in base_set:
+                gains[j] = g
+            if j + 1 not in base_set:
+                gains[j + 1] = gc
         return gains
 
     def chain_gains(self, perm: Sequence[int]) -> list[float]:
@@ -121,14 +156,23 @@ class ExclusionCoverage:
 
         Indexed by feature, not position. Summing entries over any set Y
         gives the modular chain bound h(Y) <= f(Y), with equality on every
-        prefix of the permutation.
+        prefix of the permutation. Once every mask is empty, each later
+        gain is per_element plus coef * 0 per term, which fills the rest of
+        the permutation without an AND.
         """
         if len(perm) != self.d:
             raise ConfigError("chain permutation must cover all features")
         gains = [0.0] * self.d
         state = [[coef, mask] for coef, mask in self.terms]
         columns = self.columns
-        for j in perm:
+        for k, j in enumerate(perm):
+            if not any(entry[1] for entry in state):
+                g = self.per_element
+                for coef, _ in state:
+                    g += coef * 0
+                for rest in perm[k:]:
+                    gains[rest] = g
+                break
             col = columns[j]
             g = self.per_element
             for entry in state:
@@ -175,6 +219,7 @@ class SubproblemInstance:
     negatives: int
     u: ExclusionCoverage
     w: ExclusionCoverage
+    pairs: list[tuple[int, int, bool]]
 
     _w_full_loo: list[float] | None = field(default=None, repr=False)
     _pos_ub: list[float] | None = field(default=None, repr=False)
@@ -229,7 +274,14 @@ class SubproblemInstance:
         """
         if self._pos_ub is None:
             pw, uncovered = self.pos_weight, self.uncovered_pos
-            self._pos_ub = [pw * (uncovered & col).bit_count() for col in self.columns]
+            total = uncovered.bit_count()
+            ub = [0.0] * self.d
+            for j, col, paired in self.pairs:
+                kept = (uncovered & col).bit_count()
+                ub[j] = pw * kept
+                if paired:
+                    ub[j + 1] = pw * (total - kept)
+            self._pos_ub = ub
         return self._pos_ub
 
     def sample_weights(self) -> list[float]:
@@ -269,11 +321,19 @@ def build_instance(
     uncovered_pos = data.positives & ~S.covered
     covered_pos = data.positives & S.covered
     negatives = data.negatives
+    pairs = data.pair_plan()
     u = ExclusionCoverage(
-        data.columns, data.universe, [(h.beta0, negatives), (h.beta2, covered_pos)]
+        data.columns,
+        data.universe,
+        [(h.beta0, negatives), (h.beta2, covered_pos)],
+        pairs=pairs,
     )
     w = ExclusionCoverage(
-        data.columns, data.universe, [(pos_weight, uncovered_pos)], per_element=h.lam
+        data.columns,
+        data.universe,
+        [(pos_weight, uncovered_pos)],
+        per_element=h.lam,
+        pairs=pairs,
     )
     return SubproblemInstance(
         columns=data.columns,
@@ -288,6 +348,7 @@ def build_instance(
         negatives=negatives,
         u=u,
         w=w,
+        pairs=pairs,
     )
 
 
@@ -389,7 +450,7 @@ def enlarge(
     if m < 1:
         raise ConfigError("active set size must be >= 1")
     d = inst.d
-    columns = inst.columns
+    columns, plan = inst.columns, inst.pairs
     beta0, beta2, pos_weight, lam = inst.beta0, inst.beta2, inst.pos_weight, inst.lam
     r = sorted(set(features))
     in_r = set(r)
@@ -408,20 +469,30 @@ def enlarge(
         pcn = vn.bit_count()
         best_j = -1
         best_ratio = None
-        for j in range(d):
-            if j in in_r:
-                continue
-            col = columns[j]
-            du = beta0 * (pcn - (vn & col).bit_count()) + beta2 * (
-                pcc - (vc & col).bit_count()
-            )
-            dw = pos_weight * (pcp - (vp & col).bit_count()) + lam
-            if dw > 0:
-                ratio = du / dw
-            else:
-                ratio = INF if du > 0 else -INF
-            if best_ratio is None or ratio > best_ratio:
-                best_j, best_ratio = j, ratio
+        for j, col, paired in plan:
+            # Rows of each mask that j keeps; a paired j + 1 excludes exactly
+            # these (module docstring).
+            kn = (vn & col).bit_count()
+            kc = (vc & col).bit_count()
+            kp = (vp & col).bit_count()
+            if j not in in_r:
+                du = beta0 * (pcn - kn) + beta2 * (pcc - kc)
+                dw = pos_weight * (pcp - kp) + lam
+                if dw > 0:
+                    ratio = du / dw
+                else:
+                    ratio = INF if du > 0 else -INF
+                if best_ratio is None or ratio > best_ratio:
+                    best_j, best_ratio = j, ratio
+            if paired and j + 1 not in in_r:
+                du = beta0 * kn + beta2 * kc
+                dw = pos_weight * kp + lam
+                if dw > 0:
+                    ratio = du / dw
+                else:
+                    ratio = INF if du > 0 else -INF
+                if best_ratio is None or ratio > best_ratio:
+                    best_j, best_ratio = j + 1, ratio
         col = columns[best_j]
         r.append(best_j)
         in_r.add(best_j)

@@ -2,7 +2,7 @@
 
 import random
 
-from rulecover.bits import all_ones, bit_indices, intersect_all, pack_bools, subset_bits
+from rulecover.bits import all_ones, bit_indices, intersect_all, pack_bools
 
 
 def test_all_ones_small_values():
@@ -53,26 +53,6 @@ def test_bit_indices_roundtrip():
 
 def test_bit_indices_empty():
     assert list(bit_indices(0)) == []
-
-
-def test_subset_bits_renumbers_kept_rows():
-    x = 0b10110
-    # keep rows 1, 2, 4 -> bits (1, 1, 1) -> 0b111
-    assert subset_bits(x, [1, 2, 4]) == 0b111
-    # keep rows 0, 3 -> bits (0, 0) -> 0
-    assert subset_bits(x, [0, 3]) == 0
-
-
-def test_subset_bits_random_matches_per_row_check():
-    rng = random.Random(21)
-    for _ in range(100):
-        n = rng.randrange(1, 120)
-        x = rng.getrandbits(n)
-        rows = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
-        y = subset_bits(x, rows)
-        for new_i, old_i in enumerate(rows):
-            assert (y >> new_i & 1) == (x >> old_i & 1)
-        assert y < (1 << len(rows)) if rows else y == 0
 
 
 def test_intersect_all_empty_is_universe():

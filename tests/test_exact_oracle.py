@@ -338,6 +338,31 @@ def test_deeper_bound_keeps_rule_when_values_exceed_2_to_24():
         assert res.nodes <= old_nodes
 
 
+def test_child_bound_charges_descendants_in_one_rounding():
+    # Feature 1 holds both positives and negative row 0; feature 0 holds
+    # both positives and negatives 2 and 4. With lam == beta0 and beta2 = 0,
+    # v({1}) = 2*pw - beta0 - lam and v({0, 1}) = 2*pw - 2*lam are equal in
+    # exact arithmetic, but their roundings differ: v({0, 1}) is one ulp
+    # (1.5e-8, far above TOL) higher, so it is the optimum. Feature 1 sorts
+    # first (it excludes more negatives), and after pricing the child {1}
+    # the incumbent is v({1}). Its bound must be 2*pw - 2*lam, which equals
+    # v({0, 1}); computing it as (2*pw - lam) - lam rounds one ulp lower,
+    # to v({1}) itself, and prunes the optimum. An instance found by a
+    # seeded search over weights of 1e4-1e9.
+    rows = [[0, 1], [0, 0], [1, 0], [1, 1], [1, 0], [1, 1]]
+    data = BinaryDataset.from_matrix(rows, [0, 0, 0, 1, 0, 1])
+    h = Hyperparams(
+        beta0=15496679.389496025, beta1=71758947.21322563, beta2=0.0, lam=15496679.389496025
+    )
+    inst = build_instance(RuleSet(), data, h, 0.8332876570936897)
+    assert inst.value((0, 1)) - inst.value((1,)) > TOL
+    assert (inst.pos_weight * 2 - h.lam) - h.lam == inst.value((1,))
+    best, best_v = enumerate_best(inst, [0, 1])
+    assert best == (0, 1)
+    res = bnb_max(inst, [0, 1])
+    assert (res.features, res.value, res.proven_optimal) == (best, best_v, True)
+
+
 def test_bnb_charges_descendants_one_more_literal_and_never_prices_leaves():
     # Row 3 is the one positive and holds both features; rows 0 and 2 are
     # negatives holding one each. With pos_weight = beta0 = 1:
