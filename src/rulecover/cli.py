@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import replace
 
 from .dataset import (
@@ -220,6 +221,26 @@ def _evaluation_rows(results, best: int) -> list[dict]:
     return rows
 
 
+def _fold_progress(n_folds: int):
+    """A cross_validate progress callback: one stderr line per finished
+    fold, with the elapsed time and an ETA from the mean fold so far."""
+    start = time.monotonic()
+    done = 0
+
+    def report(fold: int, fits: int, seconds: float) -> None:
+        nonlocal done
+        done += 1
+        elapsed = time.monotonic() - start
+        eta = elapsed / done * (n_folds - done)
+        print(
+            f"fold {fold} done: {fits} fits in {seconds:.2f} s "
+            f"({done}/{n_folds} folds, elapsed {elapsed:.1f} s, eta {eta:.1f} s)",
+            file=sys.stderr,
+        )
+
+    return report
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     table, schema, label = _load_table(args)
     if args.grid:
@@ -235,7 +256,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         grid = default_grid(subproblem=args.subproblem, refine=not args.no_refine)
     labels01 = [1 if v == "1" else 0 for v in table.column(label)]
     plan = make_folds(labels01, args.folds, seed=args.seed)
-    results = cross_validate(table, schema, grid, plan, jobs=args.jobs)
+    results = cross_validate(
+        table, schema, grid, plan, jobs=args.jobs, progress=_fold_progress(plan.n_folds)
+    )
     best = select_best(results)
     rows = _evaluation_rows(results, best)
 

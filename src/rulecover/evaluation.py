@@ -6,6 +6,21 @@ most one. Binarization happens inside each fold on the training split
 only; test rows are encoded with the trained descriptors, so cut points
 and category lists never leak.
 
+cross_validate runs one task per fold. The task binarizes the training
+split and encodes the test split once, then fits every grid config on
+them in grid order through one solve memo. Sharing the memo changes no
+result. A solve is a pure function of the training data, the positives
+already covered, alpha, the objective weights, active_size and the mode:
+build_instance reads nothing else, the solvers are deterministic, and the
+node budget cuts a branch and bound at the same node on every run. The
+memo key (learner._solve) holds every one of those but the data, which
+is the fold's own for every fit in the task. A hit from another config
+is thus the very result that config would have computed, and the fit
+that takes it follows the same steps, with the same rules, profits and
+metrics, as on a fresh memo; only its solves and cached_solves counts
+and its seconds differ. Configs run in grid order in every task, so
+those counts are the same with and without jobs.
+
 Grid selection follows mean training-split accuracy with ties broken by
 fewer literals. relative_gap trains the same configuration twice, with
 the local-search and the branch-and-bound subproblem solvers, the latter
@@ -17,12 +32,14 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dataset import BinaryDataset, Table, apply_descriptors, binarize, check_schema
-from .learner import TrainConfig, train
+from .learner import SolveMemo, TrainConfig, train
 from .modelio import hyperparams_to_json
 from .objective import (
     TOL,
@@ -91,6 +108,10 @@ class FoldResult:
     rules: list[list[str]] = field(default_factory=list)
     final_profit: float = 0.0
     fit_seconds: float = 0.0
+    # The fit's TrainReport counts; cached_solves includes answers from
+    # other configs' fits on the same fold.
+    solves: int = 0
+    cached_solves: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -101,6 +122,8 @@ class FoldResult:
             "rules": self.rules,
             "final_profit": self.final_profit,
             "fit_seconds": self.fit_seconds,
+            "solves": self.solves,
+            "cached_solves": self.cached_solves,
         }
 
 
@@ -169,31 +192,67 @@ def default_grid(
     return grid
 
 
+# Called once per finished fold with (fold, fits run, fold seconds).
+FoldProgress = Callable[[int, int, float], None]
+
+
 def _run_fold(
-    args: tuple[Table, dict[str, str], str, TrainConfig, CvPlan, int]
-) -> FoldResult:
-    table, schema, label_column, cfg, plan, fold = args
+    args: tuple[Table, dict[str, str], str, Sequence[TrainConfig], CvPlan, int]
+) -> tuple[list[FoldResult], float]:
+    """Every grid config on one fold, in grid order, through one solve
+    memo; also the seconds the fold took."""
+    table, schema, label_column, grid, plan, fold = args
+    t0 = time.monotonic()
     train_rows, test_rows = plan.fold_rows(fold)
     train_table = table.select_rows(train_rows)
     label_col = train_table.column(label_column)
     if len(set(label_col)) < 2:
         warnings.warn(f"fold {fold}: single-class training split; skipped")
-        return FoldResult(fold=fold, skipped="single-class training split")
+        skipped = [
+            FoldResult(fold=fold, skipped="single-class training split") for _ in grid
+        ]
+        return skipped, time.monotonic() - t0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         train_data = binarize(train_table, schema)
-    S, report = train(train_data, cfg)
     test_table = table.select_rows(test_rows)
     test_data = apply_descriptors(test_table, train_data.descriptors, label_column)
-    test_set = ruleset_from_features(S.feature_sets(), test_data)
     names = train_data.feature_names()
-    return FoldResult(
-        fold=fold,
-        train_metrics=metrics(S, train_data),
-        test_metrics=metrics(test_set, test_data),
-        rules=[[names[j] for j in feats] for feats in S.feature_sets()],
-        final_profit=report.final_profit,
-        fit_seconds=report.fit_seconds,
+    memo: SolveMemo = {}
+    results = []
+    for cfg in grid:
+        S, report = train(train_data, cfg, memo)
+        test_set = ruleset_from_features(S.feature_sets(), test_data)
+        results.append(
+            FoldResult(
+                fold=fold,
+                train_metrics=metrics(S, train_data),
+                test_metrics=metrics(test_set, test_data),
+                rules=[[names[j] for j in feats] for feats in S.feature_sets()],
+                final_profit=report.final_profit,
+                fit_seconds=report.fit_seconds,
+                solves=report.solves,
+                cached_solves=report.cached_solves,
+            )
+        )
+    return results, time.monotonic() - t0
+
+
+def _check_folds_nonempty(table: Table, label_column: str, plan: CvPlan) -> None:
+    """Reject a plan that leaves a fold without test rows."""
+    counts = Counter(plan.assignment)
+    empty = [f for f in range(plan.n_folds) if not counts[f]]
+    if not empty:
+        return
+    # Dealing fills one fold per row of the largest group it deals.
+    if plan.stratified:
+        most, split = max(Counter(table.column(label_column)).values()), "stratified split"
+    else:
+        most, split = table.n, "split"
+    raise ConfigError(
+        f"fold{'s' if len(empty) > 1 else ''} {', '.join(map(str, empty))} of "
+        f"{plan.n_folds} would have no test rows; a {split} of these {table.n} rows "
+        f"fills at most {most} folds"
     )
 
 
@@ -203,10 +262,14 @@ def cross_validate(
     grid: Sequence[TrainConfig],
     plan: CvPlan,
     jobs: int = 1,
+    progress: FoldProgress | None = None,
 ) -> list[ConfigResult]:
     """Train/evaluate every grid config on every fold.
 
-    Results are ordered by (config, fold) regardless of how jobs complete.
+    Each fold is one task (see the module docstring); jobs > 1 runs the
+    tasks in min(jobs, n_folds) worker processes. progress, if given, is
+    called in this process as each fold finishes, in completion order.
+    Results are ordered by (config, fold) regardless of how folds complete.
     """
     if not grid:
         raise ConfigError("grid must be nonempty")
@@ -215,25 +278,34 @@ def cross_validate(
     label_column = check_schema(table, schema)
     if len(plan.assignment) != table.n:
         raise ConfigError("fold plan does not match table size")
+    _check_folds_nonempty(table, label_column, plan)
     tasks = [
-        (table, schema, label_column, cfg, plan, fold)
-        for cfg in grid
-        for fold in range(plan.n_folds)
+        (table, schema, label_column, grid, plan, fold) for fold in range(plan.n_folds)
     ]
+    by_fold: dict[int, list[FoldResult]] = {}
+
+    def finish(fold: int, outcome: tuple[list[FoldResult], float]) -> None:
+        by_fold[fold], seconds = outcome
+        if progress is not None:
+            fits = sum(r.skipped is None for r in by_fold[fold])
+            progress(fold, fits, seconds)
+
     if jobs > 1:
         # Imported here: it loads multiprocessing, which added about 30 ms
         # to the start of every command.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_fold, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, plan.n_folds)) as pool:
+            futures = {pool.submit(_run_fold, task): task[-1] for task in tasks}
+            for future in as_completed(futures):
+                finish(futures[future], future.result())
     else:
-        outcomes = [_run_fold(t) for t in tasks]
-    results = []
-    for c, cfg in enumerate(grid):
-        folds = outcomes[c * plan.n_folds : (c + 1) * plan.n_folds]
-        results.append(ConfigResult(cfg=cfg, folds=folds))
-    return results
+        for task in tasks:
+            finish(task[-1], _run_fold(task))
+    return [
+        ConfigResult(cfg=cfg, folds=[by_fold[f][c] for f in range(plan.n_folds)])
+        for c, cfg in enumerate(grid)
+    ]
 
 
 def select_best(results: Sequence[ConfigResult]) -> int:

@@ -16,10 +16,11 @@ re-solves each rule's subproblem with the rule removed, keeping a
 replacement only when the recomputed V strictly improves, so V never
 decreases during refinement.
 
-Every rule solve is a pure function of its instance, which the rules
-already chosen fix only through the positives they cover (and alpha).
-train keeps one memo of solve results for the whole fit, so greedy and
-refine solve each instance once.
+Every rule solve is a pure function of its instance and its solver, and
+the key of train's solve memo (see _solve) holds everything that fixes
+them on given data. So greedy and refine solve each instance once, and
+fits of different configs on the same data may share one memo
+(cross-validation shares one per fold) with no change to any result.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class IterationRecord:
     proven_optimal: bool | None = None
     bnb_nodes: int | None = None
     cached: bool = False
-    # Wall time of the solve; 0.0 when the fit's memo answered it.
+    # Wall time of the solve; 0.0 when the memo answered it.
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
@@ -119,7 +120,8 @@ class TrainReport:
 
     @property
     def cached_solves(self) -> int:
-        """Solves answered from the fit's memo without solving."""
+        """Solves answered from the memo without solving: by this fit's
+        own earlier solves or, with a shared memo, another fit's."""
         return sum(r.cached for r in self.iterations)
 
     @property
@@ -146,8 +148,9 @@ class TrainReport:
 # A solve's result: (rule, v, proven, nodes), the last two None for the
 # local solver.
 Solution = tuple[tuple[int, ...], float, bool | None, int | None]
-# Solve results of one fit, keyed by (positives the rule set covers, alpha).
-SolveMemo = dict[tuple[int, float], Solution]
+# Solve results on one dataset, keyed by (positives the rule set covers,
+# alpha, beta0, beta1, beta2, lam, active_size, subproblem).
+SolveMemo = dict[tuple[int, float, float, float, float, float, int, str], Solution]
 
 
 def _solve_rule(inst: SubproblemInstance, cfg: TrainConfig) -> Solution:
@@ -171,12 +174,25 @@ def _solve(
     """The best next rule at weight alpha, whether the memo held it, and
     the seconds the solve took (0.0 when the memo held it).
 
-    build_instance weighs the rows by the positives S covers and by alpha
-    alone, so that pair identifies the instance within one fit. A solve
-    cut short by the node budget is reused as it was; the budget cuts it at
-    the same node every time.
+    build_instance weighs the rows by the positives S covers, alpha and
+    the objective weights, and the solver reads active_size and the mode,
+    so the key holds all of them (max_rules and refine change no
+    instance and stay out): a memo shared by fits of different configs on
+    the same data answers only what a fresh one would. A solve cut short
+    by the node budget is reused as it was; the budget cuts it at the same
+    node every time.
     """
-    key = (data.positives & S.covered, alpha)
+    h = cfg.hyperparams
+    key = (
+        data.positives & S.covered,
+        alpha,
+        h.beta0,
+        h.beta1,
+        h.beta2,
+        h.lam,
+        h.active_size,
+        cfg.subproblem,
+    )
     hit = memo.get(key)
     if hit is not None:
         return hit, True, 0.0
@@ -320,9 +336,15 @@ def refine(
     return S
 
 
-def train(data: BinaryDataset, cfg: TrainConfig) -> tuple[RuleSet, TrainReport]:
-    """Distorted greedy plus optional refinement; the standard entry point."""
-    memo: SolveMemo = {}
+def train(
+    data: BinaryDataset, cfg: TrainConfig, memo: SolveMemo | None = None
+) -> tuple[RuleSet, TrainReport]:
+    """Distorted greedy plus optional refinement; the standard entry point.
+
+    memo holds solve results on data (see _solve), possibly from fits of
+    other configs; a fresh one if None. Its answers count as cached_solves.
+    """
+    memo = {} if memo is None else memo
     S, report = distorted_greedy(data, cfg, memo)
     if cfg.refine:
         S = refine(S, data, cfg, report, memo)

@@ -357,6 +357,44 @@ def test_evaluate_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_fold_without_test_rows(tmp_path, capsys):
+    # 3 positives and 3 negatives, dealt per class over 4 folds, leave
+    # fold 3 empty; this used to fail with a bare "empty table".
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("a,y\n1,1\n1,1\n0,1\n0,0\n1,0\n0,0\n")
+    rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+              "--single", "--folds", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "fold 3 of 4 would have no test rows" in err
+    assert "at most 3 folds" in err
+
+
+def test_evaluate_jobs_match_serial_run(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    grid_json = tmp_path / "grid.json"
+    write_planted_csv(data_csv, random.Random(13), n=60, noise=0.1)
+    grid_json.write_text(json.dumps(
+        [{"beta2": 0.0, "lambda": lam, "k": k} for lam in (0.5, 1.0) for k in (2, 3)]))
+    docs = []
+    for jobs in ("1", "2"):
+        out_json = tmp_path / f"eval{jobs}.json"
+        rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+                  "--grid", str(grid_json), "--folds", "3", "--jobs", jobs,
+                  "--out", str(out_json)])
+        assert rc == 0
+        progress = re.findall(r"^fold (\d) done: (\d+) fits in ",
+                              capsys.readouterr().err, re.M)
+        assert sorted(progress) == [("0", "4"), ("1", "4"), ("2", "4")]
+        doc = json.loads(out_json.read_text())
+        for cfg in doc["configs"]:
+            for fold in cfg["folds"]:
+                del fold["fit_seconds"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert sum(f["cached_solves"] for c in docs[0]["configs"] for f in c["folds"]) > 0
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     # Only evaluate --jobs > 1 needs a process pool; importing it pulls in
     # multiprocessing, socket and pickle for every command.

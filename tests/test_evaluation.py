@@ -1,15 +1,21 @@
 """Tests for fold construction, cross-validation, and gap measurement."""
 
 import random
+import warnings
+from dataclasses import replace
 
 import pytest
 
+from rulecover import evaluation
 from rulecover.dataset import (
     BINARY,
     BinaryDataset,
     CATEGORICAL,
     LABEL,
+    NUMERIC,
     Table,
+    apply_descriptors,
+    binarize,
 )
 from rulecover.evaluation import (
     CvPlan,
@@ -19,8 +25,8 @@ from rulecover.evaluation import (
     relative_gap,
     select_best,
 )
-from rulecover.learner import TrainConfig
-from rulecover.objective import ConfigError, Hyperparams
+from rulecover.learner import TrainConfig, train
+from rulecover.objective import ConfigError, Hyperparams, metrics, ruleset_from_features
 
 
 def small_grid(**kw):
@@ -172,6 +178,88 @@ def test_cross_validate_parallel_matches_serial():
         return out
 
     assert [strip_timing(r) for r in serial] == [strip_timing(r) for r in parallel]
+
+
+def noisy_mixed_table(rng, n=90):
+    """Numeric, categorical and binary columns; the label is a noisy
+    disjunction of two conjunctions, so fits take several rules."""
+    rows = []
+    for _ in range(n):
+        x = rng.randint(0, 9)
+        c = rng.choice("pqrs")
+        b = rng.randint(0, 1)
+        z = rng.randint(0, 4)
+        y = int((x >= 6 and c in "pq") or (b == 1 and z <= 1))
+        if rng.random() < 0.1:
+            y = 1 - y
+        rows.append([str(x), c, str(b), str(z), str(y)])
+    table = Table.from_rows(["x", "c", "b", "z", "y"], rows)
+    schema = {"x": NUMERIC, "c": CATEGORICAL, "b": BINARY, "z": NUMERIC, "y": LABEL}
+    return table, schema
+
+
+def test_shared_fold_memo_matches_fresh_fits():
+    # cross_validate fits every config of a fold through one memo; each fit
+    # must equal a train() of its own on a fresh memo, while fits of
+    # different configs on the same fold answer some of each other's solves.
+    rng = random.Random(11)
+    table, schema = noisy_mixed_table(rng)
+    labels = [int(v) for v in table.column("y")]
+    plan = make_folds(labels, 3, seed=4)
+    grid = []
+    for mode in ("local", "bnb"):
+        grid += default_grid(
+            beta2_values=(0.0, 0.1), lambda_values=(0.5, 2.0), k_values=(2, 3, 5),
+            subproblem=mode,
+        )
+    # differs from grid[0] only in active_size
+    grid.append(replace(grid[0], hyperparams=replace(grid[0].hyperparams, active_size=2)))
+    seen = []
+    results = cross_validate(
+        table, schema, grid, plan, progress=lambda *args: seen.append(args)
+    )
+    assert [(fold, fits) for fold, fits, _ in seen] == [(f, len(grid)) for f in range(3)]
+
+    cross_hits = 0
+    for fold in range(plan.n_folds):
+        train_rows, test_rows = plan.fold_rows(fold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = binarize(table.select_rows(train_rows), schema)
+        test_data = apply_descriptors(table.select_rows(test_rows), data.descriptors, "y")
+        names = data.feature_names()
+        for res in results:
+            S, report = train(data, res.cfg)
+            got = res.folds[fold]
+            assert got.rules == [[names[j] for j in f] for f in S.feature_sets()]
+            assert got.final_profit == report.final_profit
+            assert got.train_metrics == metrics(S, data)
+            test_set = ruleset_from_features(S.feature_sets(), test_data)
+            assert got.test_metrics == metrics(test_set, test_data)
+            # Same records; the shared memo only answers more of them.
+            assert got.solves + got.cached_solves == report.solves + report.cached_solves
+            assert got.cached_solves >= report.cached_solves
+            cross_hits += got.cached_solves - report.cached_solves
+    assert cross_hits > 0
+
+
+def test_cross_validate_rejects_fold_without_test_rows(monkeypatch):
+    # Stratified dealing of 3 positives and 3 negatives fills folds 0-2
+    # only; the error must come before any fit, naming the empty fold.
+    rows = [["1", "1"], ["1", "1"], ["0", "1"], ["0", "0"], ["1", "0"], ["0", "0"]]
+    table = Table.from_rows(["a", "y"], rows)
+    schema = {"a": BINARY, "y": LABEL}
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(evaluation, "train", no_fit)
+    plan = make_folds([int(r[1]) for r in rows], 4, seed=0)
+    with pytest.raises(ConfigError, match=r"fold 3 of 4 .*at most 3 folds"):
+        cross_validate(table, schema, small_grid(), plan)
+    plan = CvPlan(n_folds=4, stratified=False, seed=0, assignment=(0, 0, 1, 1, 0, 1))
+    with pytest.raises(ConfigError, match=r"folds 2, 3 of 4 .*at most 6 folds"):
+        cross_validate(table, schema, small_grid(), plan)
 
 
 def test_cross_validate_rejects_mismatched_plan():

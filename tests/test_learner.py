@@ -245,6 +245,35 @@ def test_solve_memo_changes_no_result(monkeypatch, mode):
     assert hits >= 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta0", 2.0), ("beta1", 1.5), ("beta2", 0.2), ("lam", 1.0),
+    ("active_size", 2), ("subproblem", "bnb"),
+])
+def test_shared_memo_never_answers_across_configs(field, value):
+    # Two configs that differ in one field that defines the instance or its
+    # solver collide on (covered positives, alpha) at least at the first
+    # greedy step. Fitting the second on the first's memo must equal a fit
+    # on a fresh memo, down to which records are cached.
+    rng = random.Random(16)
+    base = TrainConfig(hyperparams=Hyperparams(
+        beta0=1.0, beta1=1.0, beta2=0.1, lam=0.5, max_rules=3, active_size=4))
+    if field == "subproblem":
+        other = replace(base, subproblem=value)
+    else:
+        other = replace(base, hyperparams=replace(base.hyperparams, **{field: value}))
+    for _ in range(5):
+        data = random_dataset(rng, n=rng.randint(30, 50), d=rng.randint(6, 10))
+        memo = {}
+        train(data, base, memo)
+        _, again = train(data, base, memo)
+        assert again.solves == 0
+        S_shared, shared = train(data, other, memo)
+        S_fresh, fresh = train(data, other)
+        assert S_shared.feature_sets() == S_fresh.feature_sets()
+        assert _report_less_timing_and_cache(shared) == _report_less_timing_and_cache(fresh)
+        assert [r.cached for r in shared.iterations] == [r.cached for r in fresh.iterations]
+
+
 @pytest.mark.parametrize("mode", ["local", "bnb"])
 def test_round_skips_and_seeds_change_no_result(monkeypatch, mode):
     # Unchanged fits with every local search run round by round in full
