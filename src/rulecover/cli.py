@@ -15,7 +15,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .dataset import (
     DataError,
@@ -35,8 +35,10 @@ from .evaluation import (
 )
 from .learner import SUBPROBLEM_MODES, TrainConfig, train
 from .modelio import (
+    HYPERPARAM_KEYS,
     ModelFormatError,
     hyperparams_from_json,
+    hyperparams_to_json,
     load_model,
     render_rules,
     save_model,
@@ -49,8 +51,6 @@ from .objective import (
     preset,
     ruleset_from_features,
 )
-
-DEFAULTS = {"beta0": 1.0, "beta1": 1.0, "beta2": 0.1, "lam": 1.0, "k": 16, "m": 16}
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -65,8 +65,10 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta2", type=float, default=None, help="overlap weight")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="per-literal penalty")
-    p.add_argument("--k", type=int, default=None, help="maximum number of rules")
-    p.add_argument("--m", type=int, default=None, help="active-set size")
+    p.add_argument("--k", dest="max_rules", metavar="K", type=int, default=None,
+                   help="maximum number of rules")
+    p.add_argument("--m", dest="active_size", metavar="M", type=int, default=None,
+                   help="active-set size")
     p.add_argument("--preset", choices=PRESETS, help="named objective preset")
     p.add_argument("--eta", type=float, default=None,
                    help="overlap price for the overlap-eta preset")
@@ -90,9 +92,6 @@ def _load_table(args: argparse.Namespace) -> tuple[Table, dict[str, str], str]:
             raise SchemaError(f"{args.schema}: expected a JSON object")
         if args.labels_column:
             schema[args.labels_column] = "label"
-        for name in table.names:
-            if name not in schema:
-                raise SchemaError(f"column {name!r} missing from schema")
     elif args.labels_column:
         schema = infer_schema(table, args.labels_column)
     else:
@@ -102,30 +101,29 @@ def _load_table(args: argparse.Namespace) -> tuple[Table, dict[str, str], str]:
 
 
 def _hyperparams(args: argparse.Namespace) -> Hyperparams:
-    explicit = {
-        name: getattr(args, name)
-        for name in ("beta0", "beta1", "beta2")
-        if getattr(args, name) is not None
+    # Each hyperparameter flag's dest is its Hyperparams field; unset
+    # flags are left out so the dataclass (or the preset) supplies them.
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(Hyperparams)
+        if getattr(args, f.name) is not None
     }
-    k = DEFAULTS["k"] if args.k is None else args.k
-    m = DEFAULTS["m"] if args.m is None else args.m
     if args.preset:
-        if explicit:
-            raise ConfigError(
-                f"--preset is mutually exclusive with --{next(iter(explicit))}"
-            )
-        return preset(args.preset, lam=args.lam, eta=args.eta,
-                      max_rules=k, active_size=m)
+        weights = sorted(given.keys() & {"beta0", "beta1", "beta2"})
+        if weights:
+            raise ConfigError(f"--preset is mutually exclusive with --{weights[0]}")
+        return preset(args.preset, eta=args.eta, **given)
     if args.eta is not None:
         raise ConfigError("--eta only applies with --preset overlap-eta")
-    return Hyperparams(
-        beta0=DEFAULTS["beta0"] if args.beta0 is None else args.beta0,
-        beta1=DEFAULTS["beta1"] if args.beta1 is None else args.beta1,
-        beta2=DEFAULTS["beta2"] if args.beta2 is None else args.beta2,
-        lam=DEFAULTS["lam"] if args.lam is None else args.lam,
-        max_rules=k,
-        active_size=m,
-    )
+    return Hyperparams(**given)
+
+
+def _hyperparam_flags(args: argparse.Namespace) -> list[str]:
+    """The hyperparameter, --preset and --eta flags set on the command line."""
+    flags = [f"--{key}" for key, name in HYPERPARAM_KEYS.items()
+             if getattr(args, name) is not None]
+    return flags + [f"--{name}" for name in ("preset", "eta")
+                    if getattr(args, name) is not None]
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -202,20 +200,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _evaluation_rows(results, best: int) -> list[dict]:
     rows = []
     for i, res in enumerate(results):
-        row: dict = {
-            "beta0": res.cfg.hyperparams.beta0,
-            "beta1": res.cfg.hyperparams.beta1,
-            "beta2": res.cfg.hyperparams.beta2,
-            "lambda": res.cfg.hyperparams.lam,
-            "k": res.cfg.hyperparams.max_rules,
-            "m": res.cfg.hyperparams.active_size,
+        row = {
+            **hyperparams_to_json(res.cfg.hyperparams),
             "subproblem": res.cfg.subproblem,
         }
-        for split in ("train", "test"):
-            for key in ("accuracy", "n_rules", "n_literals", "overlap"):
-                mean, std = res.aggregate(split, key)
-                row[f"{split}_{key}_mean"] = round(mean, 6)
-                row[f"{split}_{key}_std"] = round(std, 6)
+        row.update((key, round(v, 6)) for key, v in res.summary().items())
         row["selected"] = int(i == best)
         rows.append(row)
     return rows
@@ -242,6 +231,12 @@ def _fold_progress(n_folds: int):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    ignored = [] if args.single else _hyperparam_flags(args)
+    if ignored:
+        raise ConfigError(
+            f"{ignored[0]} applies only with --single; "
+            "a grid sets every config's hyperparameters"
+        )
     table, schema, label = _load_table(args)
     if args.grid:
         with open(args.grid) as fh:

@@ -35,7 +35,7 @@ import statistics
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from .dataset import BinaryDataset, Table, apply_descriptors, binarize, check_schema
@@ -146,19 +146,24 @@ class ConfigResult:
         std = statistics.stdev(vals) if len(vals) > 1 else 0.0
         return mean, std
 
+    def summary(self) -> dict[str, float]:
+        """{split}_{metric}_mean and _std for every metric, train first."""
+        out = {}
+        for split in ("train", "test"):
+            for f in fields(Metrics):
+                mean, std = self.aggregate(split, f.name)
+                out[f"{split}_{f.name}_mean"] = mean
+                out[f"{split}_{f.name}_std"] = std
+        return out
+
     def as_dict(self) -> dict:
-        out = {
+        return {
             "hyperparams": hyperparams_to_json(self.cfg.hyperparams),
             "subproblem": self.cfg.subproblem,
             "refine": self.cfg.refine,
             "folds": [f.as_dict() for f in self.folds],
+            **self.summary(),
         }
-        for split in ("train", "test"):
-            for key in ("accuracy", "n_rules", "n_literals", "overlap"):
-                mean, std = self.aggregate(split, key)
-                out[f"{split}_{key}_mean"] = mean
-                out[f"{split}_{key}_std"] = std
-        return out
 
 
 def default_grid(
@@ -166,30 +171,21 @@ def default_grid(
     beta2_values: Sequence[float] = GRID_BETA2,
     lambda_values: Sequence[float] = GRID_LAMBDA,
     k_values: Sequence[int] = GRID_K,
-    active_size: int = 16,
     subproblem: str = "local",
     refine: bool = True,
 ) -> list[TrainConfig]:
-    """The benchmark grid: beta0 = beta1 = 1 with the listed sweeps."""
-    grid = []
-    for k in k_values:
-        for beta2 in beta2_values:
-            for lam in lambda_values:
-                grid.append(
-                    TrainConfig(
-                        hyperparams=Hyperparams(
-                            beta0=1.0,
-                            beta1=1.0,
-                            beta2=beta2,
-                            lam=lam,
-                            max_rules=k,
-                            active_size=active_size,
-                        ),
-                        subproblem=subproblem,
-                        refine=refine,
-                    )
-                )
-    return grid
+    """The benchmark grid: the listed sweeps, other hyperparameters at
+    their defaults."""
+    return [
+        TrainConfig(
+            hyperparams=Hyperparams(beta2=beta2, lam=lam, max_rules=k),
+            subproblem=subproblem,
+            refine=refine,
+        )
+        for k in k_values
+        for beta2 in beta2_values
+        for lam in lambda_values
+    ]
 
 
 # Called once per finished fold with (fold, fits run, fold seconds).

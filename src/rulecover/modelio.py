@@ -34,42 +34,40 @@ class LoadedModel:
         return [[names[j] for j in feats] for feats in self.rule_features]
 
 
+# External hyperparameter key (model files, grid files, evaluate output and
+# the CLI flag names) -> Hyperparams field, in output order.
+HYPERPARAM_KEYS = {
+    "beta0": "beta0",
+    "beta1": "beta1",
+    "beta2": "beta2",
+    "lambda": "lam",
+    "k": "max_rules",
+    "m": "active_size",
+}
+
+
 def hyperparams_to_json(h: Hyperparams) -> dict:
-    return {
-        "beta0": h.beta0,
-        "beta1": h.beta1,
-        "beta2": h.beta2,
-        "lambda": h.lam,
-        "k": h.max_rules,
-        "m": h.active_size,
-    }
+    return {key: getattr(h, name) for key, name in HYPERPARAM_KEYS.items()}
 
 
-def hyperparams_from_json(obj: dict, require_all: bool = False) -> Hyperparams:
+def hyperparams_from_json(obj: object, require_all: bool = False) -> Hyperparams:
     """Hyperparams from a JSON dict; missing keys default unless required.
 
     Model files must carry every key; grid files may name only the knobs
     they sweep. Unknown keys are always rejected to catch typos.
     """
-    defaults = hyperparams_to_json(Hyperparams())
-    unknown = set(obj) - set(defaults)
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"hyperparams must be a JSON object, got {obj!r}")
+    unknown = set(obj) - set(HYPERPARAM_KEYS)
     if unknown:
         raise ModelFormatError(f"unknown hyperparameter key(s): {sorted(unknown)}")
     if require_all:
-        missing = set(defaults) - set(obj)
+        missing = set(HYPERPARAM_KEYS) - set(obj)
         if missing:
             raise ModelFormatError(
                 f"hyperparams missing key(s): {sorted(missing)}"
             )
-    merged = {**defaults, **obj}
-    return Hyperparams(
-        beta0=merged["beta0"],
-        beta1=merged["beta1"],
-        beta2=merged["beta2"],
-        lam=merged["lambda"],
-        max_rules=merged["k"],
-        active_size=merged["m"],
-    )
+    return Hyperparams(**{HYPERPARAM_KEYS[key]: v for key, v in obj.items()})
 
 
 def save_model(

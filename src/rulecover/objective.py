@@ -30,8 +30,8 @@ price at every greedy distortion step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Iterable, Iterator
 
 from .bits import intersect_all
 from .dataset import BinaryDataset
@@ -59,13 +59,14 @@ class Hyperparams:
     active_size: int = 16
 
     def __post_init__(self) -> None:
+        # Exact types: bool is an int subclass, and True would pass as 1.
         for name in ("beta0", "beta1", "beta2", "lam"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+            if type(v) not in (int, float) or not math.isfinite(v) or v < 0:
                 raise ConfigError(f"{name} must be a finite nonnegative number, got {v!r}")
         for name in ("max_rules", "active_size"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.beta2 == 0:
             if self.beta1 <= 0:
@@ -85,8 +86,8 @@ def preset(
     *,
     lam: float | None = None,
     eta: float | None = None,
-    max_rules: int = 16,
-    active_size: int = 16,
+    max_rules: int = Hyperparams.max_rules,
+    active_size: int = Hyperparams.active_size,
 ) -> Hyperparams:
     """Named objective families.
 
@@ -131,11 +132,6 @@ class Rule:
         if any(j < 0 or j >= data.d for j in feats):
             raise ConfigError(f"feature index out of range for d={data.d}")
         return cls(feats, intersect_all((data.columns[j] for j in feats), data.universe))
-
-    def render(self, names: Sequence[str]) -> str:
-        if not self.features:
-            return "TRUE"
-        return " AND ".join(names[j] for j in self.features)
 
 
 class RuleSet:
@@ -254,12 +250,7 @@ class Metrics:
     overlap: float
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "n_rules": self.n_rules,
-            "n_literals": self.n_literals,
-            "overlap": self.overlap,
-        }
+        return asdict(self)
 
 
 def metrics(S: RuleSet, data: BinaryDataset) -> Metrics:

@@ -647,7 +647,7 @@ def _on_path(rule: Sequence[int], start: frozenset[int], path: Sequence[int]) ->
 
 def local_combinatorial_search(
     inst: SubproblemInstance,
-    m: int = 16,
+    m: int = Hyperparams.active_size,
     *,
     trace: list[float] | None = None,
 ) -> tuple[int, ...]:

@@ -267,6 +267,15 @@ def test_evaluate_single_config_writes_csv(tmp_path, capsys):
     assert rc == 0
     assert "best config:" in capsys.readouterr().err
     with open(out_csv) as fh:
+        assert fh.readline() == (
+            "beta0,beta1,beta2,lambda,k,m,subproblem,"
+            "train_accuracy_mean,train_accuracy_std,train_n_rules_mean,train_n_rules_std,"
+            "train_n_literals_mean,train_n_literals_std,train_overlap_mean,train_overlap_std,"
+            "test_accuracy_mean,test_accuracy_std,test_n_rules_mean,test_n_rules_std,"
+            "test_n_literals_mean,test_n_literals_std,test_overlap_mean,test_overlap_std,"
+            "selected\n"
+        )
+    with open(out_csv) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert rows[0]["selected"] == "1"
@@ -344,6 +353,70 @@ def test_evaluate_grid_and_single_are_exclusive(tmp_path, capsys):
               "--grid", str(grid_json), "--single", "--folds", "2"])
     assert rc == 2
     assert "not allowed with" in capsys.readouterr().err
+
+
+HYPERPARAM_FLAGS = [
+    ["--beta0", "2"], ["--beta1", "2"], ["--beta2", "0.01"], ["--lambda", "64"],
+    ["--k", "3"], ["--m", "4"], ["--preset", "hamming"],
+    ["--preset", "overlap-eta", "--eta", "0.2"],
+]
+
+
+@pytest.mark.parametrize("use_grid", [True, False], ids=["grid", "default-grid"])
+@pytest.mark.parametrize("flags", HYPERPARAM_FLAGS, ids=lambda f: f[0] + "".join(f[2:3]))
+def test_evaluate_rejects_hyperparameter_flags_without_single(
+    tmp_path, capsys, use_grid, flags
+):
+    # A grid fixes every config's hyperparameters; a flag it would ignore
+    # is an error rather than a silent no-op.
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    argv = ["evaluate", "--data", str(data_csv), "--labels-column", "y", "--folds", "2"]
+    if use_grid:
+        grid_json = tmp_path / "grid.json"
+        grid_json.write_text('[{"lambda": 0.5}]')
+        argv += ["--grid", str(grid_json)]
+    assert run(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert f"error: {flags[0]} applies only with --single" in err
+    if not use_grid:
+        assert run(argv + flags + ["--single"]) == 0
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("[1]", "hyperparams must be a JSON object, got 1"),
+        ('["k"]', "hyperparams must be a JSON object, got 'k'"),
+        ('[{"k": true}]', "max_rules must be a positive integer, got True"),
+        ('[{"lambda": false}]', "lam must be a finite nonnegative number, got False"),
+    ],
+)
+def test_evaluate_rejects_malformed_grid_entries(tmp_path, capsys, grid, message):
+    data_csv = tmp_path / "data.csv"
+    grid_json = tmp_path / "grid.json"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    grid_json.write_text(grid)
+    rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+              "--grid", str(grid_json), "--folds", "2"])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--beta0", "2.5", "beta0"), ("--beta1", "3", "beta1"), ("--beta2", "0.05", "beta2"),
+     ("--lambda", "0.25", "lambda"), ("--k", "3", "k"), ("--m", "5", "m")],
+)
+def test_each_hyperparameter_flag_reaches_the_saved_model(tmp_path, flag, value, key):
+    data_csv = tmp_path / "data.csv"
+    model_json = tmp_path / "model.json"
+    write_planted_csv(data_csv, random.Random(5), n=40)
+    assert run(["train", "--data", str(data_csv), "--labels-column", "y",
+                flag, value, "--model", str(model_json)]) == 0
+    expected = {"beta0": 1.0, "beta1": 1.0, "beta2": 0.1, "lambda": 1.0, "k": 16, "m": 16}
+    expected[key] = type(expected[key])(value)
+    assert json.loads(model_json.read_text())["hyperparams"] == expected
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -533,6 +606,23 @@ def test_predict_rejects_model_with_boolean_binary_operand(tmp_path, capsys):
     rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
     assert rc == 2
     assert "binary operand" in capsys.readouterr().err
+
+
+def test_predict_rejects_model_whose_hyperparams_are_not_an_object(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(4))
+    model_json = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", str(data_csv), "--labels-column", "y",
+         "--model", str(model_json)]
+    ) == 0
+    doc = json.loads(model_json.read_text())
+    doc["hyperparams"] = 5
+    model_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
+    assert rc == 2
+    assert "error: hyperparams must be a JSON object, got 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import random_dataset
 from rulecover.dataset import BINARY, LABEL, Table, binarize
 from rulecover.modelio import (
     FORMAT_VERSION,
+    HYPERPARAM_KEYS,
     ModelFormatError,
     hyperparams_from_json,
     hyperparams_to_json,
@@ -50,6 +52,25 @@ def test_hyperparams_json_roundtrip():
         "m": 12,
     }
     assert hyperparams_from_json(doc) == h
+
+
+# A valid non-default value for every Hyperparams field.
+NON_DEFAULT = {"beta0": 2.5, "beta1": 3.0, "beta2": 0.05, "lam": 0.25,
+               "max_rules": 3, "active_size": 5}
+
+
+def test_hyperparam_keys_cover_every_field():
+    assert sorted(HYPERPARAM_KEYS.values()) == sorted(f.name for f in fields(Hyperparams))
+
+
+@pytest.mark.parametrize("key, name", list(HYPERPARAM_KEYS.items()))
+def test_hyperparams_json_roundtrip_per_key(key, name):
+    h = replace(Hyperparams(), **{name: NON_DEFAULT[name]})
+    doc = hyperparams_to_json(h)
+    assert doc[key] == NON_DEFAULT[name]
+    assert hyperparams_from_json(doc) == h
+    assert hyperparams_from_json(doc, require_all=True) == h
+    assert hyperparams_from_json({key: NON_DEFAULT[name]}) == h
 
 
 def test_hyperparams_from_json_defaults_and_validation():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -80,6 +81,13 @@ def test_hyperparams_rejects_negative_weights():
     for name in ("beta0", "beta1", "lam"):
         with pytest.raises(ConfigError, match="finite"):
             Hyperparams(**{name: math.inf})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Hyperparams)])
+def test_hyperparams_reject_booleans(name):
+    # bool is an int subclass; True must not pass as 1.
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        Hyperparams(**{name: True})
 
 
 def test_preset_penalized_01():
