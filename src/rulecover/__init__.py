@@ -1,59 +1,3 @@
 """Interpretable DNF rule-set classifiers via regularized coverage maximization."""
 
-from .dataset import (
-    BinaryDataset,
-    DataError,
-    FeatureDescriptor,
-    SchemaError,
-    Table,
-    apply_descriptors,
-    binarize,
-    infer_schema,
-)
-from .evaluation import (
-    CvPlan,
-    cross_validate,
-    default_grid,
-    make_folds,
-    relative_gap,
-    select_best,
-)
-from .exact_oracle import BnbResult, bnb_max, brute_force_ruleset_opt
-from .learner import (
-    TrainConfig,
-    TrainReport,
-    distorted_greedy,
-    predict,
-    predict_dataset,
-    refine,
-    train,
-)
-from .modelio import ModelFormatError, load_model, render_rules, save_model
-from .objective import (
-    ConfigError,
-    Hyperparams,
-    Metrics,
-    Rule,
-    RuleSet,
-    coverage_gain,
-    loss,
-    metrics,
-    pointwise_loss,
-    preset,
-    profit,
-    rule_cost,
-    ruleset_from_features,
-)
-from .subproblem import (
-    SubproblemInstance,
-    best_subset,
-    build_instance,
-    ds_opt,
-    enlarge,
-    local_combinatorial_search,
-    swap_local_search,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

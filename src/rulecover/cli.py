@@ -244,7 +244,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if not isinstance(entries, list) or not entries:
             raise ConfigError(f"{args.grid}: expected a nonempty JSON list")
         base = _train_config(args)
-        grid = [replace(base, hyperparams=hyperparams_from_json(e)) for e in entries]
+        grid = [
+            replace(base, hyperparams=hyperparams_from_json(e, prefix=f"{args.grid}: entry {i}: "))
+            for i, e in enumerate(entries)
+        ]
     elif args.single:
         grid = [_train_config(args)]
     else:

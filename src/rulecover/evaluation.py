@@ -35,7 +35,7 @@ import statistics
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from .dataset import BinaryDataset, Table, apply_descriptors, binarize, check_schema
@@ -335,15 +335,7 @@ class GapResult:
     bnb_nodes: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "v_approx": self.v_approx,
-            "v_bnb": self.v_bnb,
-            "gap": self.gap,
-            "proven_optimal": self.proven_optimal,
-            "approx_rules": [list(r) for r in self.approx_rules],
-            "bnb_rules": [list(r) for r in self.bnb_rules],
-            "bnb_nodes": self.bnb_nodes,
-        }
+        return asdict(self)
 
 
 def relative_gap(data: BinaryDataset, cfg: TrainConfig) -> GapResult:

@@ -26,7 +26,7 @@ fits of different configs on the same data may share one memo
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .dataset import BinaryDataset
@@ -76,19 +76,7 @@ class IterationRecord:
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "step": self.step,
-            "alpha": self.alpha,
-            "rule": list(self.rule) if self.rule is not None else None,
-            "rule_value": self.rule_value,
-            "inserted": self.inserted,
-            "profit_after": self.profit_after,
-            "proven_optimal": self.proven_optimal,
-            "bnb_nodes": self.bnb_nodes,
-            "cached": self.cached,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -291,39 +279,23 @@ def refine(
                 # re-derive the same nonpositive rule.
                 break
 
-        # Replace: re-solve each rule's slot with the rule taken out.
+        # Replace: re-solve each rule's slot with the rule taken out, and
+        # keep the result only if V strictly improves.
         for idx, old in enumerate(list(S.rules)):
-            if old not in S:
-                continue
             v_before = profit(S, data, h)
             S.remove(old)
-            (feats, v, proven, nodes), cached, seconds = _solve(S, data, cfg, 1.0, memo)
-            replaced = False
-            if v > TOL and feats not in S.feature_sets():
-                S.add(Rule.build(feats, data))
-                replaced = True
-            v_after = profit(S, data, h)
-            accepted = v_after > v_before + TOL
-            if not accepted:
-                if replaced:
-                    S.remove(Rule.build(feats, data))
+            record = _grow(S, data, cfg, memo, "refine-replace", idx + 1, 1.0)
+            if record.profit_after > v_before + TOL:
+                record.inserted = True
+            else:
+                if record.inserted:
+                    S.remove(S.rules[-1])
                 S.add(old)
+                record.rule = None
+                record.inserted = False
+                record.profit_after = profit(S, data, h)
             if report is not None:
-                report.iterations.append(
-                    IterationRecord(
-                        phase="refine-replace",
-                        step=idx + 1,
-                        alpha=1.0,
-                        rule=feats if (accepted and replaced) else None,
-                        rule_value=v,
-                        inserted=accepted,
-                        profit_after=profit(S, data, h),
-                        proven_optimal=proven,
-                        bnb_nodes=nodes,
-                        cached=cached,
-                        seconds=seconds,
-                    )
-                )
+                report.iterations.append(record)
         if set(S.feature_sets()) == before:
             break
     else:

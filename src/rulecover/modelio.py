@@ -10,11 +10,11 @@ tampering obvious.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .dataset import FeatureDescriptor
-from .objective import Hyperparams, RuleSet
+from .objective import ConfigError, Hyperparams, RuleSet, check_hyperparam
 
 FORMAT_VERSION = 1
 
@@ -50,24 +50,32 @@ def hyperparams_to_json(h: Hyperparams) -> dict:
     return {key: getattr(h, name) for key, name in HYPERPARAM_KEYS.items()}
 
 
-def hyperparams_from_json(obj: object, require_all: bool = False) -> Hyperparams:
+def hyperparams_from_json(obj: object, require_all: bool = False, prefix: str = "") -> Hyperparams:
     """Hyperparams from a JSON dict; missing keys default unless required.
 
     Model files must carry every key; grid files may name only the knobs
-    they sweep. Unknown keys are always rejected to catch typos.
+    they sweep. Unknown keys are always rejected to catch typos. prefix (say
+    the file and entry) starts every error message, and an invalid value's
+    error names its key.
     """
     if not isinstance(obj, dict):
-        raise ModelFormatError(f"hyperparams must be a JSON object, got {obj!r}")
+        raise ModelFormatError(f"{prefix}hyperparams must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(HYPERPARAM_KEYS)
     if unknown:
-        raise ModelFormatError(f"unknown hyperparameter key(s): {sorted(unknown)}")
+        raise ModelFormatError(f"{prefix}unknown hyperparameter key(s): {sorted(unknown)}")
     if require_all:
         missing = set(HYPERPARAM_KEYS) - set(obj)
         if missing:
-            raise ModelFormatError(
-                f"hyperparams missing key(s): {sorted(missing)}"
-            )
-    return Hyperparams(**{HYPERPARAM_KEYS[key]: v for key, v in obj.items()})
+            raise ModelFormatError(f"{prefix}hyperparams missing key(s): {sorted(missing)}")
+    for key, v in obj.items():
+        try:
+            check_hyperparam(HYPERPARAM_KEYS[key], v)
+        except ConfigError as e:
+            raise ConfigError(f"{prefix}{e} (key {key!r})") from None
+    try:
+        return Hyperparams(**{HYPERPARAM_KEYS[key]: v for key, v in obj.items()})
+    except ConfigError as e:
+        raise ConfigError(f"{prefix}{e}") from None
 
 
 def save_model(
@@ -81,16 +89,7 @@ def save_model(
     doc = {
         "format_version": FORMAT_VERSION,
         "hyperparams": hyperparams_to_json(h),
-        "features": [
-            {
-                "name": d.name,
-                "source_column": d.source_column,
-                "source_name": d.source_name,
-                "kind": d.kind,
-                "operand": d.operand,
-            }
-            for d in descriptors
-        ],
+        "features": [asdict(d) for d in descriptors],
         "rules": [sorted(names[j] for j in feats) for feats in feature_sets],
     }
     with open(path, "w") as fh:
@@ -114,26 +113,23 @@ def load_model(path: str) -> LoadedModel:
     for key in ("hyperparams", "features", "rules"):
         if key not in doc:
             raise ModelFormatError(f"{path}: missing {key!r}")
-    h = hyperparams_from_json(doc["hyperparams"], require_all=True)
+    h = hyperparams_from_json(doc["hyperparams"], require_all=True, prefix=f"{path}: ")
+    for key in ("features", "rules"):
+        if not isinstance(doc[key], list):
+            raise ModelFormatError(f"{path}: {key!r} must be a JSON list")
     descriptors = []
     for f in doc["features"]:
         try:
-            descriptors.append(
-                FeatureDescriptor(
-                    name=f["name"],
-                    source_column=f["source_column"],
-                    source_name=f["source_name"],
-                    kind=f["kind"],
-                    operand=f["operand"],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            descriptors.append(FeatureDescriptor(**f))
+        except (TypeError, ValueError) as e:
             raise ModelFormatError(f"{path}: bad feature entry ({e})") from None
     index = {d.name: j for j, d in enumerate(descriptors)}
     if len(index) != len(descriptors):
         raise ModelFormatError(f"{path}: duplicate feature names")
     rule_features = []
     for rule in doc["rules"]:
+        if not isinstance(rule, list) or not all(isinstance(name, str) for name in rule):
+            raise ModelFormatError(f"{path}: rule {rule!r} is not a list of feature names")
         feats = []
         for name in rule:
             if name not in index:

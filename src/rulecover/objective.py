@@ -30,10 +30,10 @@ price at every greedy distortion step.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Iterator
 
-from .bits import intersect_all
+from .bits import bit_indices, intersect_all
 from .dataset import BinaryDataset
 
 TOL = 1e-12
@@ -59,15 +59,8 @@ class Hyperparams:
     active_size: int = 16
 
     def __post_init__(self) -> None:
-        # Exact types: bool is an int subclass, and True would pass as 1.
-        for name in ("beta0", "beta1", "beta2", "lam"):
-            v = getattr(self, name)
-            if type(v) not in (int, float) or not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be a finite nonnegative number, got {v!r}")
-        for name in ("max_rules", "active_size"):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        for f in fields(self):
+            check_hyperparam(f.name, getattr(self, f.name))
         if self.beta2 == 0:
             if self.beta1 <= 0:
                 raise ConfigError("beta1 must be positive when beta2 = 0")
@@ -76,6 +69,17 @@ class Hyperparams:
                 "invalid weights: requires beta1 > (e-1)*beta2 "
                 f"(beta1={self.beta1}, beta2={self.beta2})"
             )
+
+
+def check_hyperparam(name: str, v: object) -> None:
+    """Raise ConfigError unless v is a valid value of field name on its own
+    (Hyperparams also checks the betas against each other)."""
+    # Exact types: bool is an int subclass, and True would pass as 1.
+    if name in ("max_rules", "active_size"):
+        if type(v) is not int or v < 1:
+            raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+    elif type(v) not in (int, float) or not math.isfinite(v) or v < 0:
+        raise ConfigError(f"{name} must be a finite nonnegative number, got {v!r}")
 
 
 PRESETS = ("penalized-01", "overlap-eta", "hamming")
@@ -193,11 +197,8 @@ class RuleSet:
     def cover_counts(self, n: int) -> list[int]:
         counts = [0] * n
         for r in self.rules:
-            bits = r.coverage
-            while bits:
-                low = bits & -bits
-                counts[low.bit_length() - 1] += 1
-                bits ^= low
+            for i in bit_indices(r.coverage):
+                counts[i] += 1
         return counts
 
 

@@ -17,12 +17,12 @@ exclusion sets), so v is maximized by difference-of-submodular descent:
 replace u by a modular chain lower bound tight at the current R, replace
 w by one of two modular upper bounds, and move to the best modular
 maximizer while it strictly improves v. A greedy ratio heuristic
-(enlarge), an exact search over a small active set, and a swap local
-search round out the rule finder.
+(enlarge), an exact search over a small active set (exact_oracle.bnb_max),
+and a swap local search round out the rule finder.
 
 local_combinatorial_search runs rounds of enlarge, exact search over the
 active set, descent and swap search. A round's result is a pure function
-of its active set: best_subset, ds_opt and swap_local_search are
+of its active set: bnb_max, ds_opt and swap_local_search are
 deterministic and read only the instance and their input. Two rules
 therefore skip work without changing any result:
 
@@ -68,7 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .bits import complement_pairs, intersect_all
+from . import exact_oracle
+from .bits import bit_indices, complement_pairs, intersect_all
 from .dataset import BinaryDataset
 from .objective import TOL, ConfigError, Hyperparams, RuleSet
 
@@ -291,11 +292,8 @@ class SubproblemInstance:
             (self.covered_pos, -self.beta2),
             (self.negatives, -self.beta0),
         ):
-            bits = mask
-            while bits:
-                low = bits & -bits
-                out[low.bit_length() - 1] = wt
-                bits ^= low
+            for i in bit_indices(mask):
+                out[i] = wt
         return out
 
     def w_full_loo(self) -> list[float]:
@@ -504,16 +502,6 @@ def enlarge(
     return tuple(sorted(r))
 
 
-def best_subset(
-    active: Sequence[int], inst: SubproblemInstance, seed: Sequence[int] | None = None
-) -> tuple[int, ...]:
-    """Exact v-maximizing subset of the active features; seed, a subset of
-    them, warm-starts the search without changing its result (bnb_max)."""
-    from .exact_oracle import bnb_max
-
-    return bnb_max(inst, active, seed=seed).features
-
-
 def swap_local_search(
     features: Sequence[int],
     inst: SubproblemInstance,
@@ -684,7 +672,9 @@ def local_combinatorial_search(
             return r
         prev, prev_active = r, active
         if len(active) <= m:
-            r = best_subset(active, inst, seed)
+            # Looked up on the module at each call, so a wrapper installed
+            # on exact_oracle.bnb_max sees the active-set solves too.
+            r = exact_oracle.bnb_max(inst, active, seed=seed).features
             if trace is not None:
                 trace.append(inst.value(r))
         r = ds_opt(r, inst, trace=trace)

@@ -400,7 +400,21 @@ def test_evaluate_rejects_malformed_grid_entries(tmp_path, capsys, grid, message
     rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
               "--grid", str(grid_json), "--folds", "2"])
     assert rc == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {grid_json}: entry 0: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_grid_error_names_the_entry_and_its_key(tmp_path, capsys):
+    data_csv = tmp_path / "data.csv"
+    grid_json = tmp_path / "grid.json"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    grid_json.write_text('[{"k": 8}, {"k": true}]')
+    rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+              "--grid", str(grid_json), "--folds", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {grid_json}: entry 1: max_rules must be a positive integer, "
+        "got True (key 'k')\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -474,6 +488,19 @@ def test_cli_import_leaves_process_pool_unloaded():
     code = (
         "import sys, rulecover.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_rulecover_loads_no_submodule():
+    # The package imports nothing; each caller imports the module it needs.
+    code = (
+        "import sys, rulecover; "
+        "print(sorted(m for m in sys.modules if m.startswith('rulecover.')))"
     )
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
@@ -608,6 +635,58 @@ def test_predict_rejects_model_with_boolean_binary_operand(tmp_path, capsys):
     assert "binary operand" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("features", 5, "'features' must be a JSON list"),
+        ("rules", 5, "'rules' must be a JSON list"),
+        ("rules", [[["a"]]], "rule [['a']] is not a list of feature names"),
+        ("rules", ["top-left = x"], "rule 'top-left = x' is not a list of feature names"),
+    ],
+)
+def test_predict_rejects_model_with_malformed_features_or_rules(
+    tmp_path, capsys, key, value, message
+):
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(4), n=40)
+    model_json = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", str(data_csv), "--labels-column", "y",
+         "--model", str(model_json)]
+    ) == 0
+    doc = json.loads(model_json.read_text())
+    doc[key] = value
+    model_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {model_json}: {message}\n"
+
+
+def test_output_keys_follow_record_fields(tmp_path):
+    # The report iterations, the gap JSON and the model's feature entries
+    # are written from their dataclass fields; these are their keys.
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(4), n=40)
+    model_json, report_json, gap_json = (tmp_path / f for f in ("m.json", "r.json", "g.json"))
+    argv = ["--data", str(data_csv), "--labels-column", "y"]
+    assert run(["train", *argv, "--model", str(model_json), "--report", str(report_json)]) == 0
+    assert run(["gap", *argv, "--out", str(gap_json)]) == 0
+    iterations = json.loads(report_json.read_text())["iterations"]
+    assert iterations and all(list(it) == [
+        "phase", "step", "alpha", "rule", "rule_value", "inserted", "profit_after",
+        "proven_optimal", "bnb_nodes", "cached", "seconds",
+    ] for it in iterations)
+    assert list(json.loads(gap_json.read_text())) == [
+        "v_approx", "v_bnb", "gap", "proven_optimal", "approx_rules", "bnb_rules",
+        "bnb_nodes",
+    ]
+    features = json.loads(model_json.read_text())["features"]
+    assert features and all(list(f) == [
+        "name", "source_column", "source_name", "kind", "operand",
+    ] for f in features)
+
+
 def test_predict_rejects_model_whose_hyperparams_are_not_an_object(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     write_planted_csv(data_csv, random.Random(4))
@@ -622,7 +701,10 @@ def test_predict_rejects_model_whose_hyperparams_are_not_an_object(tmp_path, cap
     capsys.readouterr()
     rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
     assert rc == 2
-    assert "error: hyperparams must be a JSON object, got 5" in capsys.readouterr().err
+    assert (
+        f"error: {model_json}: hyperparams must be a JSON object, got 5"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(

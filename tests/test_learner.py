@@ -1,8 +1,10 @@
 """Tests for the distorted greedy trainer, refinement, and prediction."""
 
+import copy
 import math
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -21,7 +23,7 @@ from rulecover.learner import (
     refine,
     train,
 )
-from rulecover.objective import ConfigError, Hyperparams, RuleSet, metrics, profit
+from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet, metrics, profit
 from rulecover.subproblem import build_instance
 
 
@@ -360,6 +362,82 @@ def test_refine_profit_trace_is_monotone():
         ]
         for a, b in zip(profits, profits[1:]):
             assert b >= a - 1e-9
+
+
+def _refine_reference(S, data, cfg, report, memo, outcomes):
+    """refine as it was before its replace step reused _grow: a frozen
+    reference for the differential test below. outcomes counts how each
+    replace step ended."""
+    h = cfg.hyperparams
+    S = S.copy()
+    passes = 0
+    for _ in range(10 * max(data.d, 1)):
+        before = set(S.feature_sets())
+        passes += 1
+        for step in range(len(S), h.max_rules):
+            record = learner._grow(S, data, cfg, memo, "refine-grow", step + 1, 1.0)
+            report.iterations.append(record)
+            if not record.inserted:
+                break
+        for idx, old in enumerate(list(S.rules)):
+            if old not in S:
+                continue
+            v_before = profit(S, data, h)
+            S.remove(old)
+            (feats, v, proven, nodes), cached, seconds = learner._solve(
+                S, data, cfg, 1.0, memo)
+            replaced = False
+            if v > TOL and feats not in S.feature_sets():
+                S.add(Rule.build(feats, data))
+                replaced = True
+            v_after = profit(S, data, h)
+            accepted = v_after > v_before + TOL
+            if not accepted:
+                if replaced:
+                    S.remove(Rule.build(feats, data))
+                S.add(old)
+                outcomes["restored" if feats == old.features else "reverted"] += 1
+            else:
+                outcomes["swapped" if replaced else "dropped"] += 1
+            report.iterations.append(learner.IterationRecord(
+                phase="refine-replace", step=idx + 1, alpha=1.0,
+                rule=feats if (accepted and replaced) else None, rule_value=v,
+                inserted=accepted, profit_after=profit(S, data, h),
+                proven_optimal=proven, bnb_nodes=nodes, cached=cached,
+                seconds=seconds))
+        if set(S.feature_sets()) == before:
+            break
+    report.refine_passes = passes
+    report.final_profit = profit(S, data, h)
+    return S
+
+
+@pytest.mark.parametrize("mode", SUBPROBLEM_MODES)
+def test_refine_matches_frozen_replace_loop(mode):
+    outcomes = Counter()
+    # Seeds 120-139 include local re-solves that come back worse than the
+    # rule taken out (seeds 130 and 135), so every branch of the step runs.
+    for seed in range(120, 140):
+        rng = random.Random(seed)
+        data = random_dataset(rng, n=rng.randint(20, 60), d=rng.randint(3, 12),
+                              density=rng.uniform(0.3, 0.8))
+        h = random_hyperparams(rng, max_rules=rng.randint(2, 6))
+        cfg = TrainConfig(hyperparams=replace(h, active_size=rng.choice([1, 2, 3, 16])),
+                          subproblem=mode)
+        memo = {}
+        S, greedy = distorted_greedy(data, cfg, memo)
+        rep_new, rep_ref = copy.deepcopy(greedy), copy.deepcopy(greedy)
+        S_new = refine(S, data, cfg, rep_new, dict(memo))
+        S_ref = _refine_reference(S, data, cfg, rep_ref, dict(memo), outcomes)
+        assert S_new.feature_sets() == S_ref.feature_sets()
+        assert rep_new.refine_passes == rep_ref.refine_passes
+        assert rep_new.final_profit == rep_ref.final_profit
+        assert [{**asdict(r), "seconds": None} for r in rep_new.iterations] == [
+            {**asdict(r), "seconds": None} for r in rep_ref.iterations
+        ]
+    assert {"swapped", "dropped", "restored"} <= set(outcomes), outcomes
+    if mode == "local":
+        assert outcomes["reverted"], outcomes
 
 
 def test_train_matches_greedy_plus_refine():

@@ -186,6 +186,29 @@ def test_load_model_rejects_operands_of_the_wrong_type(tmp_path):
             load_model(path)
 
 
+def test_load_model_rejects_unknown_feature_key(tmp_path):
+    path, data, S, h = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["features"][0]["note"] = "kept by hand"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="bad feature entry.*'note'"):
+        load_model(path)
+
+
+def test_load_model_names_the_file_and_key_of_an_invalid_hyperparameter(tmp_path):
+    path, data, S, h = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    for hyperparams, message in (
+        (dict(doc["hyperparams"], k=True),
+         "max_rules must be a positive integer, got True (key 'k')"),
+        (dict(doc["hyperparams"], beta1=1.0, beta2=1.0), "invalid weights"),
+    ):
+        path.write_text(json.dumps(dict(doc, hyperparams=hyperparams)))
+        with pytest.raises(ConfigError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+
+
 def test_empty_model_roundtrip(tmp_path):
     rng = random.Random(1)
     data = random_dataset(rng, n=10, d=3)

@@ -20,7 +20,6 @@ from rulecover.subproblem import (
     ExclusionCoverage,
     build_instance,
     chain_permutation,
-    best_subset,
     ds_opt,
     enlarge,
     local_combinatorial_search,
@@ -310,7 +309,7 @@ def test_best_subset_matches_enumeration():
     for _ in range(50):
         inst, *_ = random_instance(rng, d_max=8)
         active = sorted(rng.sample(range(inst.d), rng.randint(0, inst.d)))
-        got = best_subset(active, inst)
+        got = exact_oracle.bnb_max(inst, active).features
         import itertools
 
         best_v = inst.value(())
@@ -324,7 +323,7 @@ def test_best_subset_matches_enumeration():
 def test_best_subset_of_nothing_is_empty():
     rng = random.Random(19)
     inst, *_ = random_instance(rng)
-    assert best_subset((), inst) == ()
+    assert exact_oracle.bnb_max(inst, ()).features == ()
 
 
 def test_swap_search_drops_redundant_duplicate_literal():
