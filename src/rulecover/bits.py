@@ -22,6 +22,16 @@ def pack_bools(flags: Iterable[bool]) -> int:
     return int("".join(["1" if f else "0" for f in flags])[::-1] or "0", 2)
 
 
+def pack_codes(codes: bytes, hits: Iterable[int]) -> int:
+    """Bitset with bit i set iff codes[i] is one of the byte values in hits.
+    One bytes.translate of the codes to "1"/"0" digits, then one base-2
+    int() as in pack_bools, so no Python code runs per element."""
+    table = bytearray(b"0" * 256)
+    for code in hits:
+        table[code] = 49  # ord("1")
+    return int(codes.translate(table)[::-1] or b"0", 2)
+
+
 def bit_indices(x: int) -> Iterator[int]:
     """Yield set bit positions in ascending order."""
     while x:

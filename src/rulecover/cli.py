@@ -138,6 +138,11 @@ def _open_out(path: str | None):
     return open(path, "w", newline="") if path and path != "-" else sys.stdout
 
 
+def _digits(bits: int, n: int) -> str:
+    """Bits 0..n-1 of a bitset as "0"/"1" characters, bit 0 first."""
+    return format(bits, f"0{n}b")[::-1]
+
+
 def _cmd_binarize(args: argparse.Namespace) -> int:
     table, schema, label = _load_table(args)
     data = binarize(table, schema)
@@ -145,8 +150,8 @@ def _cmd_binarize(args: argparse.Namespace) -> int:
     try:
         writer = csv.writer(out)
         writer.writerow(data.feature_names() + [label])
-        for i in range(data.n):
-            writer.writerow(data.row_bits(i) + [(data.labels >> i) & 1])
+        # Row i holds character i of every column's digit string.
+        writer.writerows(zip(*[_digits(c, data.n) for c in data.columns + [data.labels]]))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -185,10 +190,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     covered = S.covered
     out = _open_out(args.out)
     try:
-        writer = csv.writer(out)
-        writer.writerow(["prediction"])
-        for i in range(data.n):
-            writer.writerow([(covered >> i) & 1])
+        # The bytes csv.writer writes: one digit per row, each ending in "\r\n".
+        out.write("prediction\r\n" + "\r\n".join(_digits(covered, data.n)) + "\r\n")
     finally:
         if out is not sys.stdout:
             out.close()

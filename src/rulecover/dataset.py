@@ -20,9 +20,14 @@ q = 0.1..0.9 by sorted-order index ceil(q*n) - 1, deduplicated).
 Constant columns carry no signal and are skipped with a warning.
 
 binarize (training) and apply_descriptors (serving) encode each column
-with one encoder, _encode_column. It parses numeric cells once, packs
-each `=`, `<=` and binary bitset once and takes `!=`, `>` and `= 0` as
-their complements; FeatureDescriptor.test is its per-cell reference.
+with one encoder, _encode_column; FeatureDescriptor.test is its per-cell
+reference. It maps each cell once, at C speed, to a one-byte code: for a
+numeric column the number of the column's cuts below the value, for a
+categorical one the index of the cell's category among the column's
+operands. Each `<=` and `=` bitset is then one bytes.translate of the codes
+(bits.pack_codes), a binary column's bitset is its cells read as digits,
+and `>`, `!=` and `= 0` are their complements. A column with more than
+255 cuts or operands is coded in windows of 255.
 """
 
 from __future__ import annotations
@@ -30,10 +35,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from .bits import all_ones, complement_pairs, pack_bools
+from .bits import all_ones, complement_pairs, pack_bools, pack_codes
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -48,6 +55,10 @@ FEATURE_KINDS = (
     "numeric-gt",
     "raw-binary",
 )
+NUMERIC_KINDS = ("numeric-le", "numeric-gt")
+# Operands per pass of the code-byte encoder: codes 0..254 name them and the
+# last value is left for a cell past every cut or equal to no category.
+CODE_WINDOW = 255
 
 
 class SchemaError(ValueError):
@@ -165,9 +176,12 @@ class FeatureDescriptor:
     operand: str | float | int
 
     def __post_init__(self) -> None:
+        for attr, value in (("name", self.name), ("source_name", self.source_name)):
+            if not isinstance(value, str):
+                raise SchemaError(f"feature {attr} must be a string, got {value!r}")
         if self.kind not in FEATURE_KINDS:
             raise SchemaError(f"unknown feature kind {self.kind!r}")
-        if self.kind in ("numeric-le", "numeric-gt") and not math.isfinite(float(self.operand)):
+        if self.kind in NUMERIC_KINDS and not math.isfinite(float(self.operand)):
             raise SchemaError(f"{self.name}: numeric threshold must be finite")
         # An operand such as True, "1" or 7 would match no cell: all-false.
         binary_ok = type(self.operand) is int and self.operand in (0, 1)
@@ -314,7 +328,50 @@ def _label_bits(col: list[str], name: str) -> int:
     bad = set(col) - {"0", "1"}
     if bad:
         raise DataError(f"label column {name!r} must be 0/1, got {sorted(bad)!r}")
-    return pack_bools(v == "1" for v in col)
+    return _digit_bits(col)
+
+
+def _digit_bits(col: list[str]) -> int:
+    """Bitset of a column whose every cell is "0" or "1": the cells are
+    its digits, bit 0 first."""
+    return int("".join(col)[::-1] or "0", 2)
+
+
+def _parse_numbers(col: list[str], name: str) -> list[float]:
+    """The column's values, parsed at C speed; on a bad column, the error
+    _parse_number raises on its first bad cell."""
+    try:
+        values = list(map(float, col))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return [_parse_number(v, name) for v in col]
+
+
+def _pack_cuts(values: list[float], cuts: list[float]) -> list[int]:
+    """The bitset of `v <= cut` for each cut, sorted and distinct. A cell's
+    code is bisect_left over a window of cuts, the number of them below v,
+    so v <= window[k] exactly when the code is at most k."""
+    out = []
+    for start in range(0, len(cuts), CODE_WINDOW):
+        window = cuts[start:start + CODE_WINDOW]
+        codes = bytes(map(bisect_left, repeat(window), values))
+        out += [pack_codes(codes, range(k + 1)) for k in range(len(window))]
+    return out
+
+
+def _pack_operands(col: list[str], operands: list[str]) -> list[int]:
+    """The bitset of `cell = z` for each distinct operand z. A cell's code
+    is z's index in a window of operands, or the window's length for a cell
+    equal to none of them."""
+    out = []
+    for start in range(0, len(operands), CODE_WINDOW):
+        window = operands[start:start + CODE_WINDOW]
+        lookup = {z: k for k, z in enumerate(window)}
+        codes = bytes(map(lookup.get, col, repeat(len(window))))
+        out += [pack_codes(codes, (k,)) for k in range(len(window))]
+    return out
 
 
 def _encode_column(
@@ -322,31 +379,34 @@ def _encode_column(
 ) -> list[int]:
     """One bitset per descriptor, all read from the raw column `col`. Each
     check runs at the first descriptor that needs it, so the error is the
-    one FeatureDescriptor.test raises on the first offending cell."""
+    one FeatureDescriptor.test raises on the first offending cell. The
+    first `<=` or `=` descriptor packs every cut or operand of the group."""
     if "" in col:
         raise DataError(f"{name}: missing values are not supported")
-    values: list[float] = []
     packed: dict[tuple, int] = {}  # ("<=", cut), ("=", category) or ("binary",)
     out = []
     for desc in descriptors:
-        if desc.kind in ("numeric-le", "numeric-gt"):
-            cut, positive = float(desc.operand), desc.kind == "numeric-le"
-            key: tuple = ("<=", cut)
+        if desc.kind in NUMERIC_KINDS:
+            key: tuple = ("<=", float(desc.operand))
+            positive = desc.kind == "numeric-le"
             if key not in packed:
-                values = values or [_parse_number(v, name) for v in col]
-                packed[key] = pack_bools([v <= cut for v in values])
+                values = _parse_numbers(col, name)
+                cuts = sorted({float(d.operand) for d in descriptors if d.kind in NUMERIC_KINDS})
+                packed.update(zip([("<=", c) for c in cuts], _pack_cuts(values, cuts)))
         elif desc.kind == "raw-binary":
             key, positive = ("binary",), desc.operand == 1
             if key not in packed:
                 if not set(col) <= {"0", "1"}:
                     bad = next(v for v in col if v not in ("0", "1"))
                     raise DataError(f"{name}: non-binary value {bad!r}")
-                # Every cell is "0" or "1": the cells are the digits.
-                packed[key] = int("".join(col)[::-1] or "0", 2)
+                packed[key] = _digit_bits(col)
         else:
             key, positive = ("=", desc.operand), desc.kind == "categorical-eq"
             if key not in packed:
-                packed[key] = pack_bools(map(desc.operand.__eq__, col))
+                operands = list(dict.fromkeys(
+                    d.operand for d in descriptors if d.kind.startswith("categorical")
+                ))
+                packed.update(zip([("=", z) for z in operands], _pack_operands(col, operands)))
         out.append(packed[key] if positive else universe ^ packed[key])
     return out
 
@@ -384,7 +444,7 @@ def binarize(table: Table, schema: dict[str, str]) -> BinaryDataset:
                 derived.append(FeatureDescriptor(f"{name} = {z}", ci, name, "categorical-eq", z))
                 derived.append(FeatureDescriptor(f"{name} != {z}", ci, name, "categorical-neq", z))
         elif kind == NUMERIC:
-            values = [_parse_number(v, name) for v in col]
+            values = _parse_numbers(col, name)
             # A cut is a sample value, so its `<=` feature is never all-false;
             # it is all-true at the maximum, which is dropped.
             top = max(values)

@@ -2,7 +2,7 @@
 
 import random
 
-from rulecover.bits import all_ones, bit_indices, intersect_all, pack_bools
+from rulecover.bits import all_ones, bit_indices, intersect_all, pack_bools, pack_codes
 
 
 def test_all_ones_small_values():
@@ -69,3 +69,13 @@ def test_intersect_all_matches_loop():
         for c in cols:
             expect &= c
         assert intersect_all(cols, universe) == expect
+
+
+def test_pack_codes_matches_pack_bools_of_membership():
+    rng = random.Random(8)
+    assert pack_codes(b"", (0,)) == 0
+    assert pack_codes(b"\x00\xff", ()) == 0
+    for _ in range(100):
+        codes = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 300)))
+        hits = {codes[0], *rng.sample(range(256), rng.randrange(0, 20))}
+        assert pack_codes(codes, hits) == pack_bools(c in hits for c in codes)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import os
 import random
@@ -12,8 +13,12 @@ import sys
 import pytest
 
 from rulecover.cli import build_parser, run
+from rulecover.dataset import (
+    BINARY, CATEGORICAL, LABEL, NUMERIC, Table, apply_descriptors, binarize,
+)
 from rulecover.datasets import tic_tac_toe
 from rulecover.modelio import load_model
+from rulecover.objective import ruleset_from_features
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -62,6 +67,51 @@ def test_binarize_to_stdout(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("a = 1,")
+
+
+def test_binarize_writes_the_rows_of_row_bits(tmp_path, capsys):
+    rng = random.Random(11)
+    data_csv, schema_json = tmp_path / "mixed.csv", tmp_path / "schema.json"
+    rows = [[rng.choice(["a", "b,c", 'd"e', "f"]), f"{rng.uniform(-3, 3):.3f}",
+             str(rng.randrange(2)), str(rng.randrange(2))] for _ in range(150)]
+    with open(data_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows([["cat", "num", "bin", "y"]] + rows)
+    schema_json.write_text(json.dumps(
+        {"cat": "categorical", "num": "numeric", "bin": "binary", "y": "label"}))
+    out_csv = tmp_path / "bin.csv"
+    args = ["binarize", "--data", str(data_csv), "--schema", str(schema_json)]
+    assert run(args + ["--out", str(out_csv)]) == 0
+    data = binarize(Table.from_rows(["cat", "num", "bin", "y"], rows),
+                    {"cat": CATEGORICAL, "num": NUMERIC, "bin": BINARY, "y": LABEL})
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(data.feature_names() + ["y"])
+    for i in range(data.n):
+        writer.writerow(data.row_bits(i) + [(data.labels >> i) & 1])
+    assert out_csv.read_bytes() == expected.getvalue().encode()
+    capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+
+
+def test_predict_writes_what_a_csv_writer_writes(tmp_path, capsys):
+    data_csv, model_json = tmp_path / "data.csv", tmp_path / "model.json"
+    write_planted_csv(data_csv, random.Random(5), n=130, noise=0.1)
+    assert run(["train", "--data", str(data_csv), "--labels-column", "y",
+                "--model", str(model_json)]) == 0
+    preds_csv = tmp_path / "preds.csv"
+    assert run(["predict", "--data", str(data_csv), "--model", str(model_json),
+                "--out", str(preds_csv)]) == 0
+    model = load_model(model_json)
+    data = apply_descriptors(Table.read_csv(str(data_csv)), model.descriptors)
+    covered = ruleset_from_features(model.rule_features, data).covered
+    assert 0 < covered.bit_count() < data.n
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["prediction"])
+    for i in range(data.n):
+        writer.writerow([(covered >> i) & 1])
+    assert preds_csv.read_bytes() == expected.getvalue().encode()
 
 
 def test_train_predict_roundtrip(tmp_path, capsys):
@@ -615,6 +665,24 @@ def test_predict_rejects_model_with_non_numeric_threshold(tmp_path, capsys):
     rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
     assert rc == 2
     assert "bad feature entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("name", ["x"]), ("name", 5), ("source_name", 7)])
+def test_predict_rejects_model_with_non_string_feature_name(tmp_path, capsys, key, value):
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(4))
+    model_json = tmp_path / "model.json"
+    assert run(
+        ["train", "--data", str(data_csv), "--labels-column", "y",
+         "--model", str(model_json)]
+    ) == 0
+    doc = json.loads(model_json.read_text())
+    doc["features"][0][key] = value
+    model_json.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(["predict", "--data", str(data_csv), "--model", str(model_json)])
+    assert rc == 2
+    assert f"bad feature entry (feature {key} must be a string" in capsys.readouterr().err
 
 
 def test_predict_rejects_model_with_boolean_binary_operand(tmp_path, capsys):

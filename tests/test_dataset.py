@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from conftest import random_table
 from rulecover.bits import bit_indices
 from rulecover.dataset import (
     BINARY,
@@ -275,34 +276,6 @@ def assert_serving_encodes_like_training(table, schema, rng):
                 assert [bool(bits >> i & 1) for i in range(table.n)] == [
                     desc.test(v) for v in cells
                 ]
-
-
-def random_table(rng, n):
-    """A seeded table mixing every column kind, with ties, signed zeros,
-    exponent spellings, rare values and constant columns."""
-    names, columns, schema = [], [], {}
-
-    def add(name, kind, cells):
-        names.append(name)
-        columns.append(cells)
-        schema[name] = kind
-
-    for j in range(rng.randrange(1, 4)):
-        k = rng.choice([1, 2, 3, 12])
-        add(f"c{j}", CATEGORICAL, [f"z{rng.randrange(k)}" for _ in range(n)])
-    pools = [
-        [str(rng.uniform(-5, 5)) for _ in range(n)],
-        ["-0", "0", "0.0", "1", "1e3", "1000", "-2.5", "7"],
-        ["3"] * 5 + ["4"],
-    ]
-    for j in range(rng.randrange(1, 4)):
-        pool = rng.choice(pools)
-        add(f"v{j}", NUMERIC, [rng.choice(pool) for _ in range(n)])
-    for j in range(rng.randrange(0, 3)):
-        p = rng.choice([0.0, 0.1, 0.5, 1.0])
-        add(f"b{j}", BINARY, [str(int(rng.random() < p)) for _ in range(n)])
-    add("y", LABEL, [str(rng.randrange(2)) for _ in range(n)])
-    return Table(names, columns), schema
 
 
 def test_serving_encodes_random_tables_like_training():
