@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import fields, replace
+from typing import TYPE_CHECKING
 
 from .dataset import (
     DataError,
@@ -26,14 +27,6 @@ from .dataset import (
     check_schema,
     infer_schema,
 )
-from .evaluation import (
-    cross_validate,
-    default_grid,
-    make_folds,
-    relative_gap,
-    select_best,
-)
-from .learner import SUBPROBLEM_MODES, TrainConfig, train
 from .modelio import (
     HYPERPARAM_KEYS,
     ModelFormatError,
@@ -47,10 +40,37 @@ from .objective import (
     ConfigError,
     Hyperparams,
     PRESETS,
+    SUBPROBLEM_MODES,
     metrics,
     preset,
     ruleset_from_features,
 )
+
+
+# The solver modules (learner, subproblem, exact_oracle, evaluation) are
+# imported inside the commands that run them, so predict and binarize load
+# only dataset, modelio, objective and bits. Without cached bytecode
+# (PYTHONDONTWRITEBYTECODE=1) every import compiles its module from source.
+if TYPE_CHECKING:
+    from .dataset import BinaryDataset
+    from .evaluation import ConfigResult
+    from .learner import TrainConfig, TrainReport
+    from .objective import RuleSet
+
+
+def train(data: BinaryDataset, cfg: TrainConfig) -> tuple[RuleSet, TrainReport]:
+    """learner.train, imported on call. This name is the bench's seam:
+    bench/tracing.py swaps its wrapper in here. The bench change that wraps
+    each layer on its defining module (ROADMAP item 6.1) deletes it."""
+    from . import learner
+    return learner.train(data, cfg)
+
+
+def cross_validate(*args, **kwargs) -> list[ConfigResult]:
+    """evaluation.cross_validate, imported on call. Like train, this name is
+    the bench's seam, and the bench change of ROADMAP item 6.1 deletes it."""
+    from . import evaluation
+    return evaluation.cross_validate(*args, **kwargs)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -127,6 +147,8 @@ def _hyperparam_flags(args: argparse.Namespace) -> list[str]:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
+    from .learner import TrainConfig
+
     return TrainConfig(
         hyperparams=_hyperparams(args),
         subproblem=args.subproblem,
@@ -240,6 +262,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"{ignored[0]} applies only with --single; "
             "a grid sets every config's hyperparameters"
         )
+    from .evaluation import default_grid, make_folds, select_best
+
     table, schema, label = _load_table(args)
     if args.grid:
         with open(args.grid) as fh:
@@ -293,6 +317,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
+    from .evaluation import relative_gap
+    from .learner import TrainConfig
+
     table, schema, _ = _load_table(args)
     data = binarize(table, schema)
     # relative_gap picks both runs' solvers.

@@ -32,6 +32,7 @@ from typing import Sequence
 from .dataset import BinaryDataset
 from .exact_oracle import bnb_max
 from .objective import (
+    SUBPROBLEM_MODES,
     TOL,
     ConfigError,
     Hyperparams,
@@ -41,8 +42,6 @@ from .objective import (
     ruleset_from_features,
 )
 from .subproblem import SubproblemInstance, build_instance, local_combinatorial_search
-
-SUBPROBLEM_MODES = ("local", "bnb")
 
 
 @dataclass(frozen=True)

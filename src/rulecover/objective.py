@@ -37,6 +37,9 @@ from .bits import bit_indices, intersect_all
 from .dataset import BinaryDataset
 
 TOL = 1e-12
+# Rule solvers of TrainConfig.subproblem: local search or branch and bound.
+# Defined here so that the CLI parser can offer them without loading either.
+SUBPROBLEM_MODES = ("local", "bnb")
 
 
 class ConfigError(ValueError):

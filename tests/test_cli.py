@@ -87,7 +87,7 @@ def test_binarize_writes_the_rows_of_row_bits(tmp_path, capsys):
     writer = csv.writer(expected)
     writer.writerow(data.feature_names() + ["y"])
     for i in range(data.n):
-        writer.writerow(data.row_bits(i) + [(data.labels >> i) & 1])
+        writer.writerow([(c >> i) & 1 for c in data.columns + [data.labels]])
     assert out_csv.read_bytes() == expected.getvalue().encode()
     capsys.readouterr()
     assert run(args) == 0
@@ -532,31 +532,53 @@ def test_evaluate_jobs_match_serial_run(tmp_path, capsys):
     assert sum(f["cached_solves"] for c in docs[0]["configs"] for f in c["folds"]) > 0
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # Only evaluate --jobs > 1 needs a process pool; importing it pulls in
-    # multiprocessing, socket and pickle for every command.
-    code = (
-        "import sys, rulecover.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
-    )
+def modules_loaded_by(code):
+    """The names in sys.modules of a fresh interpreter after it ran code."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def modules_loaded_by_command(argv):
+    """sys.modules after `rulecover <argv>`, run in a fresh interpreter."""
+    return modules_loaded_by(f"from rulecover.cli import run\nassert run({argv!r}) == 0")
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only evaluate --jobs > 1 needs a process pool; importing it pulls in
+    # multiprocessing, socket and pickle for every command.
+    loaded = modules_loaded_by("import rulecover.cli")
+    assert not loaded & {"multiprocessing", "concurrent.futures"}
 
 
 def test_import_rulecover_loads_no_submodule():
     # The package imports nothing; each caller imports the module it needs.
-    code = (
-        "import sys, rulecover; "
-        "print(sorted(m for m in sys.modules if m.startswith('rulecover.')))"
-    )
-    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = modules_loaded_by("import rulecover")
+    assert sorted(m for m in loaded if m.startswith("rulecover.")) == []
+
+
+def test_serve_commands_load_no_solver_module(tmp_path):
+    # predict and binarize run only the encoder; train runs the solver but
+    # not cross-validation.
+    data_csv, model_json = tmp_path / "data.csv", tmp_path / "model.json"
+    write_planted_csv(data_csv, random.Random(8), n=30)
+    data = ["--data", str(data_csv)]
+    train = ["train", *data, "--labels-column", "y", "--model", str(model_json)]
+    assert run(train) == 0
+    serve = {"rulecover", "rulecover.cli", "rulecover.dataset", "rulecover.modelio",
+             "rulecover.objective", "rulecover.bits"}
+    for argv in (
+        ["predict", *data, "--model", str(model_json), "--out", str(tmp_path / "p.csv")],
+        ["binarize", *data, "--labels-column", "y", "--out", str(tmp_path / "b.csv")],
+    ):
+        loaded = modules_loaded_by_command(argv)
+        assert {m for m in loaded if m.startswith("rulecover")} == serve, argv[0]
+    loaded = modules_loaded_by_command(train)
+    assert "rulecover.learner" in loaded
+    assert "rulecover.evaluation" not in loaded
 
 
 def test_readme_names_only_existing_flags():
@@ -840,3 +862,65 @@ def test_predict_with_empty_model_is_all_zeros(tmp_path, capsys):
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert out_lines[0] == "prediction"
     assert out_lines[1:] == ["0"] * 10
+
+
+def write_unreadable_csv(tmp_path, rows):
+    """A trained model on a planted table, and a copy of the table with
+    the given raw lines (0 is the header) replaced."""
+    data_csv, model_json = tmp_path / "data.csv", tmp_path / "model.json"
+    write_planted_csv(data_csv, random.Random(4), n=40)
+    assert run(["train", "--data", str(data_csv), "--labels-column", "y",
+                "--model", str(model_json)]) == 0
+    lines = data_csv.read_bytes().split(b"\n")
+    for i, line in rows.items():
+        lines[i] = line
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_bytes(b"\n".join(lines))
+    return bad_csv, model_json
+
+
+def unreadable_csv_errors(tmp_path, capsys, bad_csv, model_json):
+    """The exit code and stderr of train and of predict on bad_csv."""
+    capsys.readouterr()
+    out = []
+    for argv in (
+        ["train", "--data", str(bad_csv), "--labels-column", "y",
+         "--model", str(tmp_path / "m2.json")],
+        ["predict", "--data", str(bad_csv), "--model", str(model_json)],
+    ):
+        out.append((run(argv), capsys.readouterr().err))
+    return out
+
+
+@pytest.mark.parametrize("cell, message", [
+    (b"1" * 200_000, "line 4: field larger than field limit (131072)"),
+    (b"\xff\xfe", "line 4: bytes that are not UTF-8"),
+], ids=["field-limit", "not-utf8"])
+def test_unreadable_csv_is_a_data_error(tmp_path, capsys, cell, message):
+    bad_csv, model_json = write_unreadable_csv(tmp_path, {3: cell + b",1,0,1"})
+    for code, err in unreadable_csv_errors(tmp_path, capsys, bad_csv, model_json):
+        assert code == 2
+        assert err == f"error: {bad_csv}: {message}\n"
+
+
+def test_ragged_row_before_an_unreadable_line_is_reported_first(tmp_path, capsys):
+    bad_csv, model_json = write_unreadable_csv(
+        tmp_path, {2: b"1,0", 3: b"\xff,1,0,1", 4: b"1" * 200_000 + b",1,0,1"})
+    for code, err in unreadable_csv_errors(tmp_path, capsys, bad_csv, model_json):
+        assert (code, err) == (2, "error: row has 2 cells, expected 4\n")
+
+
+def test_nul_byte_in_a_cell_is_never_a_traceback(tmp_path, capsys):
+    bad_csv, model_json = write_unreadable_csv(tmp_path, {3: b"\x00,1,0,1"})
+    (train_code, train_err), (predict_code, predict_err) = unreadable_csv_errors(
+        tmp_path, capsys, bad_csv, model_json)
+    if sys.version_info < (3, 11):
+        # Python 3.10's csv module rejects the line.
+        for code, err in ((train_code, train_err), (predict_code, predict_err)):
+            assert code == 2
+            assert err.startswith(f"error: {bad_csv}: line 4: ") and "NUL" in err
+    else:
+        # Later versions read the cell: train infers a categorical column,
+        # and the model's binary column rejects it.
+        assert train_code == 0
+        assert (predict_code, predict_err) == (2, "error: a: non-binary value '\\x00'\n")

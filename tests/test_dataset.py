@@ -423,10 +423,9 @@ def test_descriptors_reject_operands_that_match_no_cell():
 def test_binary_dataset_row_bits():
     table = make_table(["c", "y"], [["a", "1"], ["b", "0"], ["a", "0"]])
     data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
-    for i in range(data.n):
-        bits = data.row_bits(i)
-        for j in range(data.d):
-            assert bits[j] == (data.columns[j] >> i & 1)
+    assert data.feature_names() == ["c = a", "c != a", "c = b", "c != b"]
+    rows = [[(c >> i) & 1 for c in data.columns] for i in range(data.n)]
+    assert rows == [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1]]
 
 
 def test_tic_tac_toe_corpus_shape():
@@ -435,7 +434,7 @@ def test_tic_tac_toe_corpus_shape():
     data = binarize(table, schema)
     assert data.d == 54
     assert data.n_pos == 626
-    assert data.n_neg == 332
+    assert data.n - data.n_pos == 332
 
 
 def test_tic_tac_toe_feature_naming():

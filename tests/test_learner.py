@@ -14,7 +14,6 @@ from rulecover.datasets import table_three_tic_tac_toe_rules, tic_tac_toe
 from rulecover.exact_oracle import brute_force_ruleset_opt
 from rulecover import exact_oracle, learner
 from rulecover.learner import (
-    SUBPROBLEM_MODES,
     TrainConfig,
     _alpha,
     distorted_greedy,
@@ -23,7 +22,16 @@ from rulecover.learner import (
     refine,
     train,
 )
-from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet, metrics, profit
+from rulecover.objective import (
+    SUBPROBLEM_MODES,
+    TOL,
+    ConfigError,
+    Hyperparams,
+    Rule,
+    RuleSet,
+    metrics,
+    profit,
+)
 from rulecover.subproblem import build_instance
 
 
@@ -506,7 +514,7 @@ def test_predict_dataset_matches_per_row_predict():
                 sets.append(feats)
         preds = predict_dataset(sets, data)
         for i in range(data.n):
-            assert preds[i] == predict(sets, data.row_bits(i))
+            assert preds[i] == predict(sets, [(c >> i) & 1 for c in data.columns])
 
 
 def test_perfect_play_rules_predict_perfectly():
