@@ -60,6 +60,20 @@ def complement_pairs(columns: Sequence[int], universe: int) -> list[tuple[int, i
     return plan
 
 
+def plan_counts(mask: int, plan: Sequence[tuple[int, int, bool]]) -> list[int]:
+    """|mask & columns[j]| for every column j of a pair plan, for a mask
+    within the plan's universe: one AND per entry, and a paired column
+    j + 1 gets |mask| - |mask & columns[j]|, the same integer."""
+    total = mask.bit_count()
+    out = []
+    for _, col, paired in plan:
+        kept = (mask & col).bit_count()
+        out.append(kept)
+        if paired:
+            out.append(total - kept)
+    return out
+
+
 def intersect_all(columns: Iterable[int], universe: int) -> int:
     cover = universe
     for col in columns:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .bits import all_ones, complement_pairs, pack_bools, pack_codes
+from .bits import all_ones, complement_pairs, pack_bools, pack_codes, plan_counts
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -109,7 +109,11 @@ class Table:
         the row is reached, so a ragged row is reported before anything
         that iterating past it would raise. Rows are then transposed
         READ_BLOCK at a time: one C-level step per column and block, not
-        one Python step per cell."""
+        one Python step per cell. A column's block none of whose cells
+        holds whitespace is taken as read, since str.strip would return
+        every cell unchanged. Columns are probed only when the block's
+        first row holds no whitespace, so that a padded file, whose first
+        row shows it, pays one row's probe per block."""
         width = len(names)
 
         def checked() -> Iterator[Sequence[str]]:
@@ -121,15 +125,19 @@ class Table:
         cols: list[list[str]] = [[] for _ in names]
         blocks = checked()
         while block := list(islice(blocks, READ_BLOCK)):
+            probe = _blank_free("".join(block[0]))
             for c, cells in zip(cols, zip(*block)):
-                c.extend(map(str.strip, cells))
+                plain = probe and _blank_free("".join(cells))
+                c.extend(cells if plain else map(str.strip, cells))
         return cls(list(names), cols)
 
     @classmethod
     def read_csv(cls, path: str, delimiter: str = ",") -> "Table":
-        """Read a CSV file of UTF-8 text with a header row. A line the csv
-        module rejects, or bytes that are not UTF-8, is a DataError naming
-        the file and the line; the first error in row order is reported."""
+        """Read a CSV file of UTF-8 text with a header row; a leading
+        byte-order mark, which spreadsheet exports often write, is dropped.
+        A line the csv module rejects, or bytes that are not UTF-8, is a
+        DataError naming the file and the line; the first error in row
+        order is reported."""
         try:
             return cls._read_csv(path, delimiter, "strict")
         except UnicodeDecodeError:
@@ -141,7 +149,7 @@ class Table:
 
     @classmethod
     def _read_csv(cls, path: str, delimiter: str, errors: str) -> "Table":
-        with open(path, newline="", encoding="utf-8", errors=errors) as fh:
+        with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
             lines = fh if errors == "strict" else _utf8_lines(fh, path)
             reader = csv.reader(lines, delimiter=delimiter)
             try:
@@ -151,6 +159,14 @@ class Table:
                 return cls.from_rows([h.strip() for h in header], reader)
             except csv.Error as e:
                 raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+
+
+def _blank_free(text: str) -> bool:
+    """Whether text is nonempty and holds no character str.strip removes.
+    str.split() splits at exactly those characters (the ones for which
+    str.isspace() holds); with maxsplit=1 it makes at most two pieces, and
+    returns [text] itself when it finds none."""
+    return text.split(None, 1) == [text]
 
 
 def _utf8_lines(fh: Iterable[str], path: str) -> Iterator[str]:
@@ -193,8 +209,9 @@ def _is_float(s: str) -> bool:
 
 def check_schema(table: Table, schema: dict[str, str]) -> str:
     """Validate schema against table; return the label column name."""
+    known = set(table.names)
     for name, kind in schema.items():
-        if name not in table.names:
+        if name not in known:
             raise SchemaError(f"schema names unknown column {name!r}")
         if kind not in COLUMN_KINDS:
             raise SchemaError(f"unknown column kind {kind!r} for {name!r}")
@@ -226,6 +243,11 @@ class FeatureDescriptor:
         for attr, value in (("name", self.name), ("source_name", self.source_name)):
             if not isinstance(value, str):
                 raise SchemaError(f"feature {attr} must be a string, got {value!r}")
+        # Exact type: bool is an int subclass, and True would pass as 1.
+        if type(self.source_column) is not int or self.source_column < 0:
+            raise SchemaError(
+                f"feature source_column must be a nonnegative integer, got {self.source_column!r}"
+            )
         if self.kind not in FEATURE_KINDS:
             raise SchemaError(f"unknown feature kind {self.kind!r}")
         if self.kind in NUMERIC_KINDS and not math.isfinite(float(self.operand)):
@@ -300,6 +322,9 @@ class BinaryDataset:
     _pair_plan: list[tuple[int, int, bool]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _class_counts: tuple[list[int], list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.descriptors):
@@ -334,6 +359,18 @@ class BinaryDataset:
         if self._pair_plan is None:
             self._pair_plan = complement_pairs(self.columns, self.universe)
         return self._pair_plan
+
+    def class_counts(self) -> tuple[list[int], list[int]]:
+        """|positives & col_j| and |negatives & col_j| for every column j,
+        counted over the pair plan on first use. Every rule-search instance
+        on this dataset reads its empty-cover counts from them."""
+        if self._class_counts is None:
+            plan = self.pair_plan()
+            self._class_counts = (
+                plan_counts(self.positives, plan),
+                plan_counts(self.negatives, plan),
+            )
+        return self._class_counts
 
     @classmethod
     def from_matrix(
@@ -415,13 +452,26 @@ def _pack_operands(col: list[str], operands: list[str]) -> list[int]:
 
 
 def _encode_column(
-    col: list[str], name: str, descriptors: Sequence[FeatureDescriptor], universe: int
+    col: list[str],
+    name: str,
+    descriptors: Sequence[FeatureDescriptor],
+    universe: int,
+    distinct: set[str] | None = None,
+    values: list[float] | None = None,
 ) -> list[int]:
     """One bitset per descriptor, all read from the raw column `col`. Each
     check runs at the first descriptor that needs it, so the error is the
     one FeatureDescriptor.test raises on the first offending cell. The
-    first `<=` or `=` descriptor packs every cut or operand of the group."""
-    if "" in col:
+    first `<=` or `=` descriptor packs every cut or operand of the group.
+
+    distinct, when given, is set(col), and values, when given, is
+    _parse_numbers(col, name); binarize has both at hand. Otherwise a
+    column with a raw-binary descriptor builds the set here, which its
+    check needs anyway, and other columns scan the cells for "", which
+    costs less than building a set."""
+    if distinct is None and any(d.kind == "raw-binary" for d in descriptors):
+        distinct = set(col)
+    if "" in (col if distinct is None else distinct):
         raise DataError(f"{name}: missing values are not supported")
     packed: dict[tuple, int] = {}  # ("<=", cut), ("=", category) or ("binary",)
     out = []
@@ -430,13 +480,14 @@ def _encode_column(
             key: tuple = ("<=", float(desc.operand))
             positive = desc.kind == "numeric-le"
             if key not in packed:
-                values = _parse_numbers(col, name)
+                if values is None:
+                    values = _parse_numbers(col, name)
                 cuts = sorted({float(d.operand) for d in descriptors if d.kind in NUMERIC_KINDS})
                 packed.update(zip([("<=", c) for c in cuts], _pack_cuts(values, cuts)))
         elif desc.kind == "raw-binary":
             key, positive = ("binary",), desc.operand == 1
             if key not in packed:
-                if not set(col) <= {"0", "1"}:
+                if not distinct <= {"0", "1"}:
                     bad = next(v for v in col if v not in ("0", "1"))
                     raise DataError(f"{name}: non-binary value {bad!r}")
                 packed[key] = _digit_bits(col)
@@ -472,13 +523,14 @@ def binarize(table: Table, schema: dict[str, str]) -> BinaryDataset:
         kind = schema[name]
         if kind == LABEL:
             continue
-        if "" in col:
-            raise DataError(f"{name}: missing values are not supported")
         distinct = set(col)
+        if "" in distinct:
+            raise DataError(f"{name}: missing values are not supported")
         if len(distinct) < 2:
             warnings.warn(f"column {name!r} is constant; skipped", stacklevel=2)
             continue
         derived: list[FeatureDescriptor] = []
+        values = None
         if kind == CATEGORICAL:
             for z in sorted(distinct):
                 derived.append(FeatureDescriptor(f"{name} = {z}", ci, name, "categorical-eq", z))
@@ -499,7 +551,7 @@ def binarize(table: Table, schema: dict[str, str]) -> BinaryDataset:
             derived.append(FeatureDescriptor(f"{name} = 1", ci, name, "raw-binary", 1))
             derived.append(FeatureDescriptor(f"{name} = 0", ci, name, "raw-binary", 0))
         descriptors += derived
-        columns += _encode_column(col, name, derived, universe)
+        columns += _encode_column(col, name, derived, universe, distinct, values)
 
     duplicates = len(columns) - len(set(columns))
     if duplicates:

@@ -117,8 +117,10 @@ def bnb_max(
         seed = tuple(sorted(set(seed)))
         if not set(seed) <= set(cands):
             raise ConfigError("seed rule must use candidate features only")
-    u_sing = inst.u.singletons()
-    cands.sort(key=lambda j: (-u_sing[j], j))
+    # u(j | empty) from the count table, with no AND (subproblem module
+    # docstring).
+    u_singleton = inst.u.singleton
+    cands.sort(key=lambda j: (-u_singleton(j), j))
 
     columns = inst.columns
     pos_ub = inst.pos_ub()

@@ -38,7 +38,7 @@ The exact search is seeded with the best rule on that path, which holds
 the rule the round starts from; a seed changes no rule bnb_max returns.
 
 The full-width scans (enlarge's ratio step, ExclusionCoverage's
-marginals_given and singletons, and SubproblemInstance.pos_ub) walk the
+marginals_given and singletons, and bits.plan_counts) walk the
 instance's pair plan (bits.complement_pairs): column j + 1 is paired with
 j when it equals universe ^ column j, as binarize always makes it. For a
 mask m within the universe,
@@ -53,6 +53,30 @@ operation order; enlarge still weighs j before j + 1 with the same
 strict >, so ties pick the same feature and every result is bit-identical.
 Unpaired columns keep the per-column arithmetic.
 
+Scans at the empty cover read a count table instead. Negatives never
+change, and the covered and uncovered positives split the positives, so
+the dataset's |positives & col_j| and |negatives & col_j|
+(BinaryDataset.class_counts, two ANDs per pair once per dataset) and one
+AND per pair per instance for |uncovered & col_j| give every count the
+empty rule needs: |covered & col_j| is the difference of two of them.
+pos_ub, the singleton marginals ExclusionCoverage.singleton returns (which
+order bnb_max's candidates and give ds_opt its w(j | empty)) and enlarge's
+first step from the empty rule take their integers from it, with no AND.
+They are the integers the scans counted, used in the same operation
+order, so the floats are too.
+
+ds_opt walks only the live prefix of its chain. The chain holds R's
+features, then the rest in ascending order, and u has no per-element
+term, so once every u mask is empty each later chain gain is exactly
+0.0. The masks go empty early: any complement pair both of whose columns
+have passed empties them. Every w marginal is at least 0.0 (lam >= 0,
+positive weights, counts >= 0), so a feature outside R whose gain is 0.0
+fails both of the descent's strict tests and joins neither candidate. So
+w's marginals are taken only for the features of the prefix with a
+positive gain, and w(j | all other features) is needed only for j in R.
+That value is exactly lam (plus coef * 0 per term) once the plan holds
+two complement pairs: one of them avoids j, and its columns share no row.
+
 enlarge stops scanning once every candidate ties. When the rule covers
 no negatives and no covered positives, every u-gain is 0.0; with lam > 0
 every w-gain is at least lam, so every ratio is 0.0, and with lam == 0
@@ -66,10 +90,11 @@ differ (0.0 or -inf), and the scan runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import exact_oracle
-from .bits import bit_indices, complement_pairs, intersect_all
+from .bits import bit_indices, complement_pairs, intersect_all, plan_counts
 from .dataset import BinaryDataset
 from .objective import TOL, ConfigError, Hyperparams, RuleSet
 
@@ -84,24 +109,34 @@ class ExclusionCoverage:
     excludes. Nonnegative, monotone, and submodular in A.
     """
 
-    __slots__ = ("columns", "universe", "d", "terms", "per_element", "pairs", "_singletons")
+    __slots__ = (
+        "columns", "universe", "d", "terms", "counts", "per_element", "pairs", "_singletons"
+    )
 
     def __init__(
         self,
         columns: Sequence[int],
         universe: int,
         terms: Iterable[tuple[float, int]],
+        counts: Iterable[list[int]],
         per_element: float = 0.0,
         pairs: list[tuple[int, int, bool]] | None = None,
     ) -> None:
         self.columns = list(columns)
         self.universe = universe
         self.d = len(self.columns)
-        self.terms = [(float(c), m) for c, m in terms if c > 0 and m]
-        self.per_element = float(per_element)
         # bits.complement_pairs of the columns; build_instance passes the
         # dataset's.
         self.pairs = complement_pairs(self.columns, universe) if pairs is None else pairs
+        # counts[t][j] = |mask_t & col_j| (bits.plan_counts), one list per
+        # term; build_instance passes its count table.
+        self.terms: list[tuple[float, int]] = []
+        self.counts: list[list[int]] = []
+        for (c, m), kept in zip(terms, counts, strict=True):
+            if c > 0 and m:
+                self.terms.append((float(c), m))
+                self.counts.append(kept)
+        self.per_element = float(per_element)
         self._singletons: list[float] | None = None
 
     def cover(self, features: Iterable[int]) -> int:
@@ -115,13 +150,25 @@ class ExclusionCoverage:
         return total
 
     def singletons(self) -> list[float]:
-        """f(j | empty) for every feature j."""
+        """f(j | empty) for every feature j: the full-width reference that
+        singleton() is tested against."""
         if self._singletons is None:
             self._singletons = self.marginals_given(())
         return self._singletons
 
+    def singleton(self, j: int) -> float:
+        """f(j | empty), singletons()[j], read from the count table without
+        an AND: each term adds coef * (|mask| - |mask & col_j|) in the same
+        order, and a paired j + 1's count |mask| - |mask & col_j| there is
+        the same integer as |mask & col_{j+1}|."""
+        g = self.per_element
+        for (coef, mask), kept in zip(self.terms, self.counts):
+            g += coef * (mask.bit_count() - kept[j])
+        return g
+
     def marginals_given(self, base: Sequence[int]) -> list[float]:
         """f(j | base) for every j not in base; entries for j in base are 0.
+        The full-width reference that marginals_of is tested against.
 
         Walks the pair plan: the complement j + 1 of a paired j excludes
         exactly the |mv & col_j| rows of mask mv that j keeps (module
@@ -152,27 +199,49 @@ class ExclusionCoverage:
                 gains[j + 1] = gc
         return gains
 
+    def marginals_of(self, features: Iterable[int], base: Sequence[int]) -> list[float]:
+        """f(j | base) for each j in features, none of them in base, in
+        order: one AND per term each, and the values marginals_given(base)
+        holds for them (its count |mv| - |mv & col_j| for a paired j + 1 is
+        the same integer as |mv & col_{j+1}|)."""
+        cov = self.cover(base)
+        state = [(coef, mask & cov, (mask & cov).bit_count()) for coef, mask in self.terms]
+        columns, per_element = self.columns, self.per_element
+        out = []
+        for j in features:
+            col = columns[j]
+            g = per_element
+            for coef, mv, pc in state:
+                g += coef * (pc - (mv & col).bit_count())
+            out.append(g)
+        return out
+
     def chain_gains(self, perm: Sequence[int]) -> list[float]:
         """Telescoping gains f(prefix k) - f(prefix k-1) along a permutation.
 
         Indexed by feature, not position. Summing entries over any set Y
         gives the modular chain bound h(Y) <= f(Y), with equality on every
-        prefix of the permutation. Once every mask is empty, each later
-        gain is per_element plus coef * 0 per term, which fills the rest of
-        the permutation without an AND.
+        prefix of the permutation. The gains past live_chain's prefix are
+        its tail gain.
         """
         if len(perm) != self.d:
             raise ConfigError("chain permutation must cover all features")
-        gains = [0.0] * self.d
+        live, tail = self.live_chain(perm)
+        gains = [tail] * self.d
+        for j, g in live:
+            gains[j] = g
+        return gains
+
+    def live_chain(self, perm: Iterable[int]) -> tuple[list[tuple[int, float]], float]:
+        """The chain gains along perm while some mask is nonempty, as
+        (feature, gain) pairs, and the gain of every later feature. Once
+        every mask is empty, each later gain is per_element plus coef * 0
+        per term, taken without an AND; perm is read no further."""
         state = [[coef, mask] for coef, mask in self.terms]
         columns = self.columns
-        for k, j in enumerate(perm):
+        live = []
+        for j in perm:
             if not any(entry[1] for entry in state):
-                g = self.per_element
-                for coef, _ in state:
-                    g += coef * 0
-                for rest in perm[k:]:
-                    gains[rest] = g
                 break
             col = columns[j]
             g = self.per_element
@@ -181,8 +250,11 @@ class ExclusionCoverage:
                 nm = mv & col
                 g += coef * (mv.bit_count() - nm.bit_count())
                 entry[1] = nm
-            gains[j] = g
-        return gains
+            live.append((j, g))
+        tail = self.per_element
+        for coef, _ in state:
+            tail += coef * 0
+        return live, tail
 
     def loo_marginals(self, features: Sequence[int]) -> dict[int, float]:
         """f(j | features minus j) for every j in features."""
@@ -221,6 +293,12 @@ class SubproblemInstance:
     u: ExclusionCoverage
     w: ExclusionCoverage
     pairs: list[tuple[int, int, bool]]
+    # The count table: |mask & col_j| for every column j and each of the
+    # three masks (build_instance). u.counts and w.counts hold the same
+    # lists, but only for the terms they keep; enlarge reads all three.
+    uncovered_counts: list[int] = field(repr=False)
+    covered_counts: list[int] = field(repr=False)
+    negative_counts: list[int] = field(repr=False)
 
     _w_full_loo: list[float] | None = field(default=None, repr=False)
     _pos_ub: list[float] | None = field(default=None, repr=False)
@@ -274,15 +352,8 @@ class SubproblemInstance:
         other two ANDs and its score.
         """
         if self._pos_ub is None:
-            pw, uncovered = self.pos_weight, self.uncovered_pos
-            total = uncovered.bit_count()
-            ub = [0.0] * self.d
-            for j, col, paired in self.pairs:
-                kept = (uncovered & col).bit_count()
-                ub[j] = pw * kept
-                if paired:
-                    ub[j + 1] = pw * (total - kept)
-            self._pos_ub = ub
+            pw = self.pos_weight
+            self._pos_ub = [pw * kept for kept in self.uncovered_counts]
         return self._pos_ub
 
     def sample_weights(self) -> list[float]:
@@ -297,10 +368,21 @@ class SubproblemInstance:
         return out
 
     def w_full_loo(self) -> list[float]:
-        """w(j | all other features), cached; used by one upper bound."""
+        """w(j | all other features) for every j, cached; used by one upper
+        bound. The values w.loo_marginals(range(d)) gives: once the plan
+        holds two complement pairs, one of them avoids any j, and its two
+        columns share no row, so the other columns AND to nothing. Every
+        term then counts 0 - 0 rows and each value is per_element plus
+        coef * 0 per term, taken without an AND."""
         if self._w_full_loo is None:
-            loo = self.w.loo_marginals(range(self.d))
-            self._w_full_loo = [loo[j] for j in range(self.d)]
+            if sum(paired for _, _, paired in self.pairs) >= 2:
+                g = self.w.per_element
+                for coef, _ in self.w.terms:
+                    g += coef * 0
+                self._w_full_loo = [g] * self.d
+            else:
+                loo = self.w.loo_marginals(range(self.d))
+                self._w_full_loo = [loo[j] for j in range(self.d)]
         return self._w_full_loo
 
 
@@ -320,11 +402,17 @@ def build_instance(
     covered_pos = data.positives & S.covered
     negatives = data.negatives
     pairs = data.pair_plan()
+    # The count table (module docstring): one AND per pair here, two per
+    # pair once per dataset.
+    positive_counts, negative_counts = data.class_counts()
+    uncovered_counts = plan_counts(uncovered_pos, pairs)
+    covered_counts = [p - k for p, k in zip(positive_counts, uncovered_counts)]
     u = ExclusionCoverage(
         data.columns,
         data.universe,
         [(h.beta0, negatives), (h.beta2, covered_pos)],
         pairs=pairs,
+        counts=[negative_counts, covered_counts],
     )
     w = ExclusionCoverage(
         data.columns,
@@ -332,6 +420,7 @@ def build_instance(
         [(pos_weight, uncovered_pos)],
         per_element=h.lam,
         pairs=pairs,
+        counts=[uncovered_counts],
     )
     return SubproblemInstance(
         columns=data.columns,
@@ -347,6 +436,9 @@ def build_instance(
         u=u,
         w=w,
         pairs=pairs,
+        uncovered_counts=uncovered_counts,
+        covered_counts=covered_counts,
+        negative_counts=negative_counts,
     )
 
 
@@ -354,10 +446,14 @@ def chain_permutation(features: Sequence[int], d: int) -> list[int]:
     """Ground-set order: the rule's features ascending, then the rest
     ascending. Keeping the rule's features first makes the chain bound
     tight at the rule."""
+    return list(_chain_order(features, d))
+
+
+def _chain_order(features: Sequence[int], d: int) -> Iterator[int]:
+    """chain_permutation's order, generated as it is read."""
     inside = sorted(features)
     in_rule = set(inside)
-    rest = [j for j in range(d) if j not in in_rule]
-    return inside + rest
+    return chain(inside, (j for j in range(d) if j not in in_rule))
 
 
 def _iteration_cap(d: int) -> int:
@@ -379,34 +475,41 @@ def ds_opt(
       m2: w(j | everything else) inside R, w(j | R) outside
 
     The better candidate is taken while it improves v by more than the
-    tolerance.
+    tolerance. Only the live prefix of the chain is walked, and w's
+    marginals are taken only for the features that can pass a test
+    (module docstring); each test sees the value a full-width scan would
+    give it, so the result is the same.
     """
     d = inst.d
+    u, w = inst.u, inst.w
     r = tuple(sorted(set(features)))
     v_r = inst.value(r)
     if trace is not None:
         trace.append(v_r)
     cap = _iteration_cap(d)
-    w_sing = inst.w.singletons()
     w_full_loo = inst.w_full_loo()
     for _ in range(cap):
-        hv = inst.u.chain_gains(chain_permutation(r, d))
-        w_loo_r = inst.w.loo_marginals(r)
-        w_given_r = inst.w.marginals_given(r)
         in_r = set(r)
+        live, tail = u.live_chain(_chain_order(r, d))
+        hv = dict(live)
+        w_loo_r = w.loo_marginals(r)
         r1 = []
         r2 = []
-        for j in range(d):
-            if j in in_r:
-                if hv[j] - w_loo_r[j] > 0:
-                    r1.append(j)
-                if hv[j] - w_full_loo[j] > 0:
-                    r2.append(j)
-            else:
-                if hv[j] - w_sing[j] > 0:
-                    r1.append(j)
-                if hv[j] - w_given_r[j] > 0:
-                    r2.append(j)
+        for j in r:
+            g = hv.get(j, tail)
+            if g - w_loo_r[j] > 0:
+                r1.append(j)
+            if g - w_full_loo[j] > 0:
+                r2.append(j)
+        outside = [(j, g) for j, g in live if g > 0 and j not in in_r]
+        w_given_r = w.marginals_of([j for j, _ in outside], r)
+        for (j, g), given in zip(outside, w_given_r):
+            if g - w.singleton(j) > 0:
+                r1.append(j)
+            if g - given > 0:
+                r2.append(j)
+        r1.sort()
+        r2.sort()
         v1 = inst.value(r1)
         v2 = inst.value(r2)
         cand, v_cand = (r1, v1) if v1 >= v2 else (r2, v2)
@@ -449,6 +552,8 @@ def enlarge(
         raise ConfigError("active set size must be >= 1")
     d = inst.d
     columns, plan = inst.columns, inst.pairs
+    negative_counts, covered_counts = inst.negative_counts, inst.covered_counts
+    uncovered_counts = inst.uncovered_counts
     beta0, beta2, pos_weight, lam = inst.beta0, inst.beta2, inst.pos_weight, inst.lam
     r = sorted(set(features))
     in_r = set(r)
@@ -467,12 +572,17 @@ def enlarge(
         pcn = vn.bit_count()
         best_j = -1
         best_ratio = None
+        at_empty_rule = not r
         for j, col, paired in plan:
             # Rows of each mask that j keeps; a paired j + 1 excludes exactly
-            # these (module docstring).
-            kn = (vn & col).bit_count()
-            kc = (vc & col).bit_count()
-            kp = (vp & col).bit_count()
+            # these (module docstring). The empty rule covers the instance's
+            # masks, whose counts the count table holds.
+            if at_empty_rule:
+                kn, kc, kp = negative_counts[j], covered_counts[j], uncovered_counts[j]
+            else:
+                kn = (vn & col).bit_count()
+                kc = (vc & col).bit_count()
+                kp = (vp & col).bit_count()
             if j not in in_r:
                 du = beta0 * (pcn - kn) + beta2 * (pcc - kc)
                 dw = pos_weight * (pcp - kp) + lam

@@ -5,7 +5,7 @@ import pytest
 
 from rulecover.dataset import BINARY, CATEGORICAL, LABEL, NUMERIC, BinaryDataset, Table
 from rulecover.objective import Hyperparams, Rule, RuleSet
-from rulecover.subproblem import build_instance
+from rulecover.subproblem import ExclusionCoverage, build_instance
 
 MUSHROOM_PATH = os.environ.get("RULECOVER_MUSHROOM", "data/agaricus-lepiota.data")
 
@@ -181,3 +181,10 @@ def random_table(rng, n):
         add(f"b{j}", BINARY, [str(int(rng.random() < p)) for _ in range(n)])
     add("y", LABEL, [str(rng.randrange(2)) for _ in range(n)])
     return Table(names, columns), schema
+
+
+def exclusion_coverage(columns, universe, terms, per_element=0.0):
+    """An ExclusionCoverage built outside build_instance, with each term's
+    counts taken per column."""
+    counts = [[(mask & col).bit_count() for col in columns] for _, mask in terms]
+    return ExclusionCoverage(columns, universe, terms, counts, per_element=per_element)

@@ -227,6 +227,33 @@ def test_train_rejects_invalid_weight_combination(tmp_path, capsys):
         assert "must be a finite nonnegative number" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):
+    # Spreadsheet exports often start a UTF-8 file with the mark EF BB BF;
+    # the first column must keep its name, with a schema and without.
+    plain = tmp_path / "plain.csv"
+    write_planted_csv(plain, random.Random(12))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    schema = tmp_path / "schema.json"
+    write_schema(schema)
+    outputs = {}
+    for data in (plain, marked):
+        for how in (["--schema", str(schema)], ["--labels-column", "y"]):
+            model = tmp_path / f"{data.stem}{how[0]}.json"
+            assert run(["train", "--data", str(data), *how, "--model", str(model)]) == 0
+            outputs[data.stem, how[0]] = (model.read_bytes(), capsys.readouterr().out)
+    for how in ("--schema", "--labels-column"):
+        assert outputs["marked", how] == outputs["plain", how]
+    assert "a = 1" in outputs["plain", "--schema"][1]
+    for data in (plain, marked):
+        out = tmp_path / f"{data.stem}-predictions.csv"
+        rc = run(["predict", "--data", str(data), "--model", str(tmp_path / "plain--schema.json"),
+                  "--labels-column", "y", "--out", str(out)])
+        assert rc == 0
+    assert (tmp_path / "marked-predictions.csv").read_bytes() == (
+        tmp_path / "plain-predictions.csv").read_bytes()
+
+
 def test_train_and_predict_with_thresholds_beyond_six_digits(tmp_path, capsys):
     # Six significant digits would name the cuts 1234567 and 1234571 alike.
     data_csv = tmp_path / "data.csv"

@@ -2,12 +2,13 @@
 
 import json
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from conftest import random_dataset
-from rulecover.dataset import BINARY, LABEL, Table, binarize
+from rulecover.dataset import BINARY, LABEL, SchemaError, Table, binarize
 from rulecover.modelio import (
     FORMAT_VERSION,
     HYPERPARAM_KEYS,
@@ -184,6 +185,23 @@ def test_load_model_rejects_operands_of_the_wrong_type(tmp_path):
         path.write_text(json.dumps(dict(doc, features=features + doc["features"][1:])))
         with pytest.raises(ModelFormatError, match="bad feature entry.*operand"):
             load_model(path)
+
+
+def test_load_model_rejects_a_source_column_that_is_not_a_nonnegative_integer(tmp_path):
+    path, data, S, h = small_model(tmp_path)
+    doc = json.loads(path.read_text())
+    for bad in ("zz", "0", -1, 1.0, True, False, None, [0]):
+        features = [dict(doc["features"][0], source_column=bad)] + doc["features"][1:]
+        path.write_text(json.dumps(dict(doc, features=features)))
+        prefix = re.escape(f"{path}: bad feature entry")
+        with pytest.raises(ModelFormatError, match=f"^{prefix}.*source_column"):
+            load_model(path)
+        with pytest.raises(SchemaError, match="source_column"):
+            replace(data.descriptors[0], source_column=bad)
+    # Any nonnegative integer loads.
+    features = [dict(doc["features"][0], source_column=99)] + doc["features"][1:]
+    path.write_text(json.dumps(dict(doc, features=features)))
+    assert load_model(path).descriptors[0].source_column == 99
 
 
 def test_load_model_rejects_unknown_feature_key(tmp_path):

@@ -2,19 +2,34 @@
 
 enlarge, ExclusionCoverage.marginals_given and SubproblemInstance.pos_ub
 count a complement pair (j, j + 1) with one AND per mask; chain_gains
-stops ANDing once every mask is empty. The frozen_* functions below are
-the per-column scans they replaced, kept verbatim; every result must equal
-theirs exactly, not within a tolerance.
+stops ANDing once every mask is empty. The count table (the dataset's
+class_counts and each instance's uncovered counts) answers pos_ub, the
+singleton marginals and enlarge's first step without an AND, and ds_opt
+walks only the live prefix of its chain. The frozen_* functions below are
+the code they replaced, kept verbatim except that frozen_ds_opt calls the
+frozen scans; every result must equal theirs exactly, not within a
+tolerance.
 """
 
 import random
 import warnings
 
-from conftest import random_dataset, random_hyperparams
+from conftest import (
+    exclusion_coverage,
+    random_dataset,
+    random_hyperparams,
+    random_instance,
+    tied_instance,
+)
 from rulecover.bits import all_ones, complement_pairs
 from rulecover.dataset import BINARY, CATEGORICAL, LABEL, NUMERIC, BinaryDataset, Table, binarize
-from rulecover.objective import ConfigError, Hyperparams, Rule, RuleSet
-from rulecover.subproblem import ExclusionCoverage, build_instance, chain_permutation, enlarge
+from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet
+from rulecover.subproblem import (
+    build_instance,
+    chain_permutation,
+    ds_opt,
+    enlarge,
+)
 
 INF = float("inf")
 
@@ -105,6 +120,50 @@ def frozen_chain_gains(f, perm):
     return gains
 
 
+def frozen_ds_opt(features, inst, trace):
+    """subproblem.ds_opt before the live prefix: every iteration takes the
+    chain gains and w's marginals over all d features, here with the
+    frozen per-column scans, and w(j | all others) from loo_marginals."""
+    d = inst.d
+    r = tuple(sorted(set(features)))
+    v_r = inst.value(r)
+    trace.append(v_r)
+    w_sing = frozen_marginals_given(inst.w, ())
+    loo = inst.w.loo_marginals(range(d))
+    w_full_loo = [loo[j] for j in range(d)]
+    for _ in range(10 * max(d, 1)):
+        hv = frozen_chain_gains(inst.u, chain_permutation(r, d))
+        w_loo_r = inst.w.loo_marginals(r)
+        w_given_r = frozen_marginals_given(inst.w, r)
+        in_r = set(r)
+        r1 = []
+        r2 = []
+        for j in range(d):
+            if j in in_r:
+                if hv[j] - w_loo_r[j] > 0:
+                    r1.append(j)
+                if hv[j] - w_full_loo[j] > 0:
+                    r2.append(j)
+            else:
+                if hv[j] - w_sing[j] > 0:
+                    r1.append(j)
+                if hv[j] - w_given_r[j] > 0:
+                    r2.append(j)
+        v1 = inst.value(r1)
+        v2 = inst.value(r2)
+        cand, v_cand = (r1, v1) if v1 >= v2 else (r2, v2)
+        if v_cand > v_r + TOL:
+            r, v_r = tuple(cand), v_cand
+            trace.append(v_r)
+        else:
+            return r
+    raise RuntimeError("descent failed to reach a fixed point within the iteration cap")
+
+
+def per_column_counts(mask, columns):
+    return [(mask & col).bit_count() for col in columns]
+
+
 # Instance sources -----------------------------------------------------------
 
 
@@ -180,6 +239,8 @@ def instances(seed, count):
     for case in range(count):
         data = sources[case % 3](rng)
         S = RuleSet()
+        if rng.random() < 0.1:
+            S.add(Rule.build((), data))  # every positive covered
         for _ in range(rng.randint(0, 2)):
             if data.d:
                 rule = Rule.build(rng.sample(range(data.d), rng.randint(1, min(2, data.d))), data)
@@ -309,7 +370,8 @@ def test_directly_built_coverage_finds_its_own_pairs():
     for _ in range(200):
         data = layout_dataset(rng)
         terms = [(rng.choice([0.5, 1.0, 3.0]), rng.getrandbits(data.n)) for _ in range(2)]
-        f = ExclusionCoverage(data.columns, data.universe, terms, per_element=rng.choice([0.0, 1.0]))
+        f = exclusion_coverage(data.columns, data.universe, terms,
+                               per_element=rng.choice([0.0, 1.0]))
         assert f.pairs == complement_pairs(data.columns, data.universe)
         base = start_features(rng, build_instance(RuleSet(), data, Hyperparams(), 1.0))
         assert f.marginals_given(base) == frozen_marginals_given(f, base)
@@ -328,7 +390,7 @@ def test_chain_gains_match_the_full_chain():
         for f in (inst.u, inst.w):
             for perm in (chain_permutation(anchor, inst.d), rng.sample(range(inst.d), inst.d)):
                 assert f.chain_gains(perm) == frozen_chain_gains(f, perm)
-    f = ExclusionCoverage([0b01, 0b10], 0b11, [], per_element=2.0)
+    f = exclusion_coverage([0b01, 0b10], 0b11, [], per_element=2.0)
     assert f.chain_gains([1, 0]) == frozen_chain_gains(f, [1, 0]) == [2.0, 2.0]
 
 
@@ -351,17 +413,134 @@ def test_scans_and_each_pair_once_and_chains_stop_at_empty_masks():
         data = binarized_dataset(rng)
     data.columns = [CountedColumn(c) for c in data.columns]
     h = Hyperparams(beta0=1.0, beta1=1.0, beta2=0.1, lam=0.5)
-    inst = build_instance(RuleSet([Rule.build([0], data)]), data, h, 1.0)
+    S = RuleSet([Rule.build([0], data)])
     half = data.d // 2
+    # The dataset's table costs two ANDs per pair, once; each instance's
+    # uncovered counts one more per pair.
+    CountedColumn.ands = 0
+    inst = build_instance(S, data, h, 1.0)
+    assert CountedColumn.ands == 2 * half + half
+    CountedColumn.ands = 0
+    build_instance(S, data, h, 1.0)
+    assert CountedColumn.ands == half
     for call, ands in (
-        (inst.pos_ub, half),
+        # Read from the count table.
+        (inst.pos_ub, 0),
+        (lambda: [inst.u.singleton(j) for j in range(data.d)], 0),
+        (lambda: [inst.w.singleton(j) for j in range(data.d)], 0),
+        # The plan holds at least three pairs, so every value is lam.
+        (inst.w_full_loo, 0),
+        # The reference scans.
         (lambda: inst.u.marginals_given(()), 2 * half),
         (lambda: inst.w.marginals_given(()), half),
-        # One step: three masks per pair, then the chosen column's three.
-        (lambda: enlarge((), 1, inst), 3 * half + 3),
+        # The first step reads the table; then the chosen column's three.
+        (lambda: enlarge((), 1, inst), 3),
+        # One step from a one-feature rule: its cover, three masks per
+        # pair, then the chosen column's three.
+        (lambda: enlarge((1,), 2, inst), 1 + 3 * half + 3),
         # A pair empties every mask: the chain ANDs only that pair.
         (lambda: inst.u.chain_gains(list(range(data.d))), 2 * 2),
+        (lambda: inst.u.live_chain(range(data.d)), 2 * 2),
+        # The base's cover, then one AND per term (w has one) and feature.
+        (lambda: inst.w.marginals_of([2, 3], [0]), 1 + 2),
     ):
         CountedColumn.ands = 0
         call()
         assert CountedColumn.ands == ands
+
+
+def test_count_table_matches_per_column_counts():
+    seen_pairs = set()
+    for _, data, inst in instances(11, 600):
+        pos, neg = data.class_counts()
+        assert data.class_counts() is data.class_counts()
+        assert pos == per_column_counts(data.positives, data.columns)
+        assert neg == per_column_counts(data.negatives, data.columns)
+        assert inst.uncovered_counts == per_column_counts(inst.uncovered_pos, inst.columns)
+        assert inst.covered_counts == per_column_counts(inst.covered_pos, inst.columns)
+        assert inst.negative_counts == neg
+        for f in (inst.u, inst.w):
+            reference = frozen_marginals_given(f, ())
+            assert [f.singleton(j) for j in range(inst.d)] == reference
+            assert f.singletons() == reference
+        loo = inst.w.loo_marginals(range(inst.d))
+        assert inst.w_full_loo() == [loo[j] for j in range(inst.d)]
+        seen_pairs.add(min(2, sum(p for _, _, p in inst.pairs)))
+        if not inst.uncovered_pos:
+            seen_pairs.add("all covered")
+    # Both ways of taking w(j | all others) ran, and so did a rule set that
+    # covers every positive.
+    assert seen_pairs == {0, 1, 2, "all covered"}
+
+
+def test_directly_built_coverage_keeps_the_counts_of_its_kept_terms():
+    # A term with a zero coefficient or an empty mask is dropped, and its
+    # counts with it.
+    rng = random.Random(12)
+    for _ in range(200):
+        data = layout_dataset(rng)
+        terms = [(rng.choice([0.0, 0.5, 3.0]), rng.choice([0, rng.getrandbits(data.n)]))
+                 for _ in range(2)]
+        per_element = rng.choice([0.0, 1.0])
+        f = exclusion_coverage(data.columns, data.universe, terms, per_element=per_element)
+        assert f.counts == [per_column_counts(m, data.columns) for _, m in f.terms]
+        assert [f.singleton(j) for j in range(f.d)] == frozen_marginals_given(f, ())
+
+
+def test_marginals_of_match_marginals_given():
+    for rng, _, inst in instances(13, 600):
+        base = start_features(rng, inst)
+        outside = [j for j in range(inst.d) if j not in base]
+        asked = rng.sample(outside, rng.randint(0, len(outside)))
+        for f in (inst.u, inst.w):
+            reference = frozen_marginals_given(f, base)
+            assert f.marginals_of(asked, base) == [reference[j] for j in asked]
+
+
+def test_live_chain_is_the_chain_up_to_empty_masks():
+    for rng, _, inst in instances(14, 400):
+        anchor = start_features(rng, inst)
+        for f in (inst.u, inst.w):
+            perm = chain_permutation(anchor, inst.d)
+            full = frozen_chain_gains(f, perm)
+            live, tail = f.live_chain(iter(perm))
+            assert [j for j, _ in live] == perm[: len(live)]
+            assert [g for _, g in live] == [full[j] for j in perm[: len(live)]]
+            assert all(full[j] == tail for j in perm[len(live):])
+
+
+def ds_opt_starts(rng, inst):
+    """A random start, the empty rule, a start that holds both sides of a
+    pair (its own features empty every mask), and every feature."""
+    starts = [start_features(rng, inst), (), tuple(range(inst.d))]
+    paired = [j for j, _, p in inst.pairs if p]
+    if paired:
+        j = rng.choice(paired)
+        starts.append(tuple(sorted(set(start_features(rng, inst)) | {j, j + 1})))
+    return starts
+
+
+def test_ds_opt_matches_full_width_descent():
+    moved = 0
+    for rng, _, inst in instances(15, 500):
+        for start in ds_opt_starts(rng, inst):
+            trace, ref_trace = [], []
+            got = ds_opt(start, inst, trace=trace)
+            assert got == frozen_ds_opt(start, inst, ref_trace)
+            assert trace == ref_trace
+            moved += len(trace) > 1
+    # The descent improved its start often enough to exercise later iterations.
+    assert moved > 100
+
+
+def test_ds_opt_matches_full_width_descent_on_random_and_tied_instances():
+    rng = random.Random(16)
+    for case in range(400):
+        if case % 2:
+            inst = tied_instance(rng, n_max=40, d_max=12)
+        else:
+            inst, *_ = random_instance(rng, n_max=40, d_max=12)
+        for start in ds_opt_starts(rng, inst):
+            trace, ref_trace = [], []
+            assert ds_opt(start, inst, trace=trace) == frozen_ds_opt(start, inst, ref_trace)
+            assert trace == ref_trace

@@ -1,8 +1,9 @@
 """Table.read_csv and Table.from_rows against a frozen per-cell reader.
 
-from_rows transposes rows in blocks of READ_BLOCK; the frozen copy below is
-the per-cell loop it replaced. Both must give identical cells, and the
-same error at the same row, at every row count around a block boundary.
+from_rows transposes rows in blocks of READ_BLOCK and strips only the
+column blocks that hold whitespace; the frozen copy below is the per-cell
+loop it replaced. Both must give identical cells, and the same error at
+the same row, at every row count around a block boundary.
 """
 
 import csv
@@ -13,6 +14,8 @@ from rulecover.dataset import READ_BLOCK, DataError, Table
 
 B = READ_BLOCK
 PADS = [" ", "\t", "\xa0", "　", " \t\xa0　 "]
+# Every character str.strip() removes.
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 
 
 def frozen_from_rows(names, rows):
@@ -142,3 +145,81 @@ def test_bytes_that_are_not_utf8_are_reported_at_their_line(tmp_path):
     # Text that is UTF-8, non-ASCII included, reads as before.
     path.write_bytes("a,b\né,　z　\n".encode())
     assert outcome(Table.read_csv, str(path)) == (["a", "b"], [["é"], ["z"]])
+
+
+@pytest.mark.parametrize("offset", [0, 1, B - 1])
+def test_every_character_strip_removes_is_stripped_alone_in_its_block(tmp_path, offset):
+    # Each column holds one whitespace character, at an edge of one cell in
+    # row `offset` of a block; the other rows hold none. At offset 0 the
+    # character sits in its block's first row, which from_rows probes
+    # first; elsewhere the probe of its column's block must find it.
+    names = [f"c{k}" for k in range(len(SPACES))]
+    n = 3 * B
+    rows = [[f"{k}.{i}" for k in range(len(SPACES))] for i in range(n)]
+    for k, space in enumerate(SPACES):
+        i = (k % 3) * B + offset
+        rows[i][k] = [f"{space}v", f"v{space}", space, f"{space}v w{space}"][k % 4]
+    expected = outcome(frozen_from_rows, names, rows)
+    assert outcome(Table.from_rows, names, rows) == expected
+    for k, space in enumerate(SPACES):
+        assert space not in "".join(expected[1][k])
+    path = tmp_path / "t.csv"
+    write(path, rows, header=names)
+    assert outcome(Table.read_csv, str(path)) == expected
+    assert outcome(frozen_read_csv, str(path)) == expected
+
+
+def test_quoted_line_breaks_at_cell_edges_are_stripped(tmp_path):
+    names = ["a", "b"]
+    for edge in ["\r", "\n", "\r\n", "\n\r"]:
+        for cell in (f"{edge}v", f"v{edge}", edge, f"{edge}v{edge}"):
+            rows = [[f"x{i}", f"y{i}"] for i in range(B + 2)]
+            rows[B - 1][1] = cell
+            expected = outcome(frozen_from_rows, names, rows)
+            assert expected[1][1][B - 1] == cell.strip()
+            assert outcome(Table.from_rows, names, rows) == expected
+            path = tmp_path / "t.csv"
+            write(path, rows, header=names)
+            assert outcome(Table.read_csv, str(path)) == expected
+
+
+def test_blocks_padded_below_a_clean_first_row_are_stripped(tmp_path):
+    # The first row of each block holds no whitespace, so every column's
+    # block is probed, and the padded rows under it must be found.
+    rows = padded_rows(2 * B + 3)
+    for i in range(0, len(rows), B):
+        rows[i] = [f"p{i}", f"q{i}", f"r{i}"]
+    names = ["a", "b", "c"]
+    expected = outcome(frozen_from_rows, names, rows)
+    assert outcome(Table.from_rows, names, rows) == expected
+    path = tmp_path / "t.csv"
+    write(path, rows)
+    assert outcome(Table.read_csv, str(path)) == outcome(frozen_read_csv, str(path))
+
+
+def test_blocks_without_whitespace_are_kept_as_read():
+    # Cells with no whitespace, or the empty cell, come through unchanged.
+    names = ["a", "b", "c"]
+    rows = [["1", "", f"é{i}"] for i in range(2 * B + 1)]
+    table = Table.from_rows(names, rows)
+    assert table.columns == [["1"] * (2 * B + 1), [""] * (2 * B + 1),
+                             [f"é{i}" for i in range(2 * B + 1)]]
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "t.csv"
+    write(path, padded_rows(B + 1))
+    expected = outcome(frozen_read_csv, str(path))
+    assert expected[0] == ["a", "b", "c"]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert outcome(Table.read_csv, str(path)) == expected
+    # Only a leading mark: one anywhere else is kept, as before.
+    path.write_bytes(b"a,b\n\xef\xbb\xbfx,y\n")
+    assert outcome(Table.read_csv, str(path)) == (["a", "b"], [["\ufeffx"], ["y"]])
+    # The read that escapes bytes that are not UTF-8 drops it too, and still
+    # names the line.
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n\xff3,4\n")
+    assert outcome(Table.read_csv, str(path)) == (
+        DataError, f"{path}: line 3: bytes that are not UTF-8")
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+    assert outcome(Table.read_csv, str(path)) == (["a", "b"], [["1"], ["2"]])

@@ -7,6 +7,7 @@ import pytest
 import conftest
 from conftest import (
     enumerate_rule_optimum,
+    exclusion_coverage,
     plain_enlarge,
     plain_local_search,
     random_instance,
@@ -17,7 +18,6 @@ from rulecover import exact_oracle, subproblem
 from rulecover.dataset import BinaryDataset
 from rulecover.objective import TOL, ConfigError, Hyperparams, Rule, RuleSet
 from rulecover.subproblem import (
-    ExclusionCoverage,
     build_instance,
     chain_permutation,
     ds_opt,
@@ -98,7 +98,7 @@ def test_exclusion_coverage_value_matches_direct_count():
         cols = [rng.getrandbits(n) for _ in range(d)]
         terms = [(rng.uniform(0.1, 2.0), rng.getrandbits(n)) for _ in range(2)]
         pe = rng.choice([0.0, 0.5])
-        f = ExclusionCoverage(cols, universe, terms, per_element=pe)
+        f = exclusion_coverage(cols, universe, terms, per_element=pe)
         feats = sorted(rng.sample(range(d), rng.randint(0, d)))
         cov = universe
         for j in feats:
