@@ -11,12 +11,13 @@ mean/std per metric) or as full JSON, chosen by the output extension.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
 import time
 from dataclasses import fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .dataset import (
     DataError,
@@ -33,6 +34,7 @@ from .modelio import (
     hyperparams_from_json,
     hyperparams_to_json,
     load_model,
+    read_json,
     render_rules,
     save_model,
 )
@@ -106,8 +108,7 @@ def _add_subproblem_arg(p: argparse.ArgumentParser) -> None:
 def _load_table(args: argparse.Namespace) -> tuple[Table, dict[str, str], str]:
     table = Table.read_csv(args.data)
     if args.schema:
-        with open(args.schema) as fh:
-            schema = json.load(fh)
+        schema = read_json(args.schema, SchemaError)
         if not isinstance(schema, dict):
             raise SchemaError(f"{args.schema}: expected a JSON object")
         if args.labels_column:
@@ -156,8 +157,21 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _open_out(path: str | None):
-    return open(path, "w", newline="") if path and path != "-" else sys.stdout
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The file at path, open for writing until the block ends; stdout when
+    path is None or "-"."""
+    if not path or path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
+
+
+def _write_json(doc: object, path: str | None) -> None:
+    with _output(path) as out:
+        json.dump(doc, out, indent=2)
+        out.write("\n")
 
 
 def _digits(bits: int, n: int) -> str:
@@ -168,15 +182,11 @@ def _digits(bits: int, n: int) -> str:
 def _cmd_binarize(args: argparse.Namespace) -> int:
     table, schema, label = _load_table(args)
     data = binarize(table, schema)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(data.feature_names() + [label])
         # Row i holds character i of every column's digit string.
         writer.writerows(zip(*[_digits(c, data.n) for c in data.columns + [data.labels]]))
-    finally:
-        if out is not sys.stdout:
-            out.close()
     print(f"binarized {data.n} rows into {data.d} features", file=sys.stderr)
     return 0
 
@@ -188,9 +198,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     S, report = train(data, cfg)
     save_model(args.model, S, data.descriptors, cfg.hyperparams)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(report.as_dict(), args.report)
     m = metrics(S, data)
     print(render_rules(S.feature_sets(), data.descriptors))
     print(
@@ -210,13 +218,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     data = apply_descriptors(table, model.descriptors, args.labels_column)
     S = ruleset_from_features(model.rule_features, data)
     covered = S.covered
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         # The bytes csv.writer writes: one digit per row, each ending in "\r\n".
         out.write("prediction\r\n" + "\r\n".join(_digits(covered, data.n)) + "\r\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.labels_column:
         print(f"accuracy={metrics(S, data).accuracy:.4f}", file=sys.stderr)
     return 0
@@ -266,8 +270,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     table, schema, label = _load_table(args)
     if args.grid:
-        with open(args.grid) as fh:
-            entries = json.load(fh)
+        entries = read_json(args.grid, ConfigError)
         if not isinstance(entries, list) or not entries:
             raise ConfigError(f"{args.grid}: expected a nonempty JSON list")
         base = _train_config(args)
@@ -294,18 +297,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "best": best,
             "configs": [res.as_dict() for res in results],
         }
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, args.out)
     else:
-        out = _open_out(args.out)
-        try:
+        with _output(args.out) as out:
             writer = csv.DictWriter(out, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-        finally:
-            if out is not sys.stdout:
-                out.close()
     sel = rows[best]
     print(
         f"best config: beta2={sel['beta2']} lambda={sel['lambda']} k={sel['k']} "
@@ -325,14 +322,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     # relative_gap picks both runs' solvers.
     cfg = TrainConfig(hyperparams=_hyperparams(args), refine=not args.no_refine)
     result = relative_gap(data, cfg)
-    doc = result.as_dict()
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2)
-        print()
+    _write_json(result.as_dict(), args.out)
     gap_text = "undefined" if result.gap is None else f"{result.gap:.6f}"
     print(
         f"gap={gap_text} v_approx={result.v_approx:.6g} v_bnb={result.v_bnb:.6g} "

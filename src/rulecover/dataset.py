@@ -132,26 +132,26 @@ class Table:
         return cls(list(names), cols)
 
     @classmethod
-    def read_csv(cls, path: str, delimiter: str = ",") -> "Table":
-        """Read a CSV file of UTF-8 text with a header row; a leading
+    def read_csv(cls, path: str) -> "Table":
+        """Read a comma-separated file of UTF-8 text with a header row; a leading
         byte-order mark, which spreadsheet exports often write, is dropped.
         A line the csv module rejects, or bytes that are not UTF-8, is a
         DataError naming the file and the line; the first error in row
         order is reported."""
         try:
-            return cls._read_csv(path, delimiter, "strict")
+            return cls._read_csv(path, "strict")
         except UnicodeDecodeError:
             # The text layer decodes in chunks ahead of the reader, so its
             # error names no line and may come before an earlier row's
             # error. Read again with the bad bytes escaped, and raise at the
             # first line that holds one.
-            return cls._read_csv(path, delimiter, "surrogateescape")
+            return cls._read_csv(path, "surrogateescape")
 
     @classmethod
-    def _read_csv(cls, path: str, delimiter: str, errors: str) -> "Table":
+    def _read_csv(cls, path: str, errors: str) -> "Table":
         with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
             lines = fh if errors == "strict" else _utf8_lines(fh, path)
-            reader = csv.reader(lines, delimiter=delimiter)
+            reader = csv.reader(lines)
             try:
                 header = next(reader, None)
                 if header is None:

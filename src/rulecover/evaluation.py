@@ -1,10 +1,10 @@
 """Cross-validation, grid search, and approximation-gap experiments.
 
-Folds are stratified by default: each class is shuffled separately under
-the seed and dealt round-robin, so per-fold class counts differ by at
-most one. Binarization happens inside each fold on the training split
-only; test rows are encoded with the trained descriptors, so cut points
-and category lists never leak.
+Folds are stratified: each class is shuffled separately under the seed
+and dealt round-robin, so per-fold class counts differ by at most one.
+Binarization happens inside each fold on the training split only; test
+rows are encoded with the trained descriptors, so cut points and category
+lists never leak.
 
 cross_validate runs one task per fold. The task binarizes the training
 split and encodes the test split once, then fits every grid config on
@@ -61,7 +61,6 @@ class CvPlan:
     """Per-sample fold assignment."""
 
     n_folds: int
-    stratified: bool
     seed: int
     assignment: tuple[int, ...]
 
@@ -78,33 +77,25 @@ class CvPlan:
         return train_rows, test_rows
 
 
-def make_folds(
-    labels: Sequence[int], n_folds: int, *, stratified: bool = True, seed: int = 0
-) -> CvPlan:
+def make_folds(labels: Sequence[int], n_folds: int, *, seed: int = 0) -> CvPlan:
+    if n_folds < 2:
+        raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
     rng = random.Random(seed)
     assignment = [0] * len(labels)
-    if stratified:
-        groups = [
-            [i for i, y in enumerate(labels) if y == 1],
-            [i for i, y in enumerate(labels) if y == 0],
-        ]
-    else:
-        groups = [list(range(len(labels)))]
-    for group in groups:
+    for cls in (1, 0):
+        group = [i for i, y in enumerate(labels) if y == cls]
         rng.shuffle(group)
         for pos, i in enumerate(group):
             assignment[i] = pos % n_folds
-    return CvPlan(
-        n_folds=n_folds, stratified=stratified, seed=seed, assignment=tuple(assignment)
-    )
+    return CvPlan(n_folds=n_folds, seed=seed, assignment=tuple(assignment))
 
 
 @dataclass
 class FoldResult:
     fold: int
     skipped: str | None = None
-    train_metrics: Metrics | None = None
-    test_metrics: Metrics | None = None
+    train: Metrics | None = None
+    test: Metrics | None = None
     rules: list[list[str]] = field(default_factory=list)
     final_profit: float = 0.0
     fit_seconds: float = 0.0
@@ -114,17 +105,7 @@ class FoldResult:
     cached_solves: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "skipped": self.skipped,
-            "train": self.train_metrics.as_dict() if self.train_metrics else None,
-            "test": self.test_metrics.as_dict() if self.test_metrics else None,
-            "rules": self.rules,
-            "final_profit": self.final_profit,
-            "fit_seconds": self.fit_seconds,
-            "solves": self.solves,
-            "cached_solves": self.cached_solves,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -137,9 +118,7 @@ class ConfigResult:
 
     def aggregate(self, split: str, key: str) -> tuple[float, float]:
         """(mean, sample std) of one metric over completed folds."""
-        vals = [
-            getattr(getattr(f, f"{split}_metrics"), key) for f in self._completed()
-        ]
+        vals = [getattr(getattr(f, split), key) for f in self._completed()]
         if not vals:
             return float("nan"), float("nan")
         mean = statistics.fmean(vals)
@@ -166,15 +145,8 @@ class ConfigResult:
         }
 
 
-def default_grid(
-    *,
-    beta2_values: Sequence[float] = GRID_BETA2,
-    lambda_values: Sequence[float] = GRID_LAMBDA,
-    k_values: Sequence[int] = GRID_K,
-    subproblem: str = "local",
-    refine: bool = True,
-) -> list[TrainConfig]:
-    """The benchmark grid: the listed sweeps, other hyperparameters at
+def default_grid(*, subproblem: str = "local", refine: bool = True) -> list[TrainConfig]:
+    """The benchmark grid: the GRID_* sweeps, other hyperparameters at
     their defaults."""
     return [
         TrainConfig(
@@ -182,9 +154,9 @@ def default_grid(
             subproblem=subproblem,
             refine=refine,
         )
-        for k in k_values
-        for beta2 in beta2_values
-        for lam in lambda_values
+        for k in GRID_K
+        for beta2 in GRID_BETA2
+        for lam in GRID_LAMBDA
     ]
 
 
@@ -222,8 +194,8 @@ def _run_fold(
         results.append(
             FoldResult(
                 fold=fold,
-                train_metrics=metrics(S, train_data),
-                test_metrics=metrics(test_set, test_data),
+                train=metrics(S, train_data),
+                test=metrics(test_set, test_data),
                 rules=[[names[j] for j in feats] for feats in S.feature_sets()],
                 final_profit=report.final_profit,
                 fit_seconds=report.fit_seconds,
@@ -240,15 +212,12 @@ def _check_folds_nonempty(table: Table, label_column: str, plan: CvPlan) -> None
     empty = [f for f in range(plan.n_folds) if not counts[f]]
     if not empty:
         return
-    # Dealing fills one fold per row of the largest group it deals.
-    if plan.stratified:
-        most, split = max(Counter(table.column(label_column)).values()), "stratified split"
-    else:
-        most, split = table.n, "split"
+    # Dealing fills one fold per row of the largest class it deals.
+    most = max(Counter(table.column(label_column)).values())
     raise ConfigError(
         f"fold{'s' if len(empty) > 1 else ''} {', '.join(map(str, empty))} of "
-        f"{plan.n_folds} would have no test rows; a {split} of these {table.n} rows "
-        f"fills at most {most} folds"
+        f"{plan.n_folds} would have no test rows; a stratified split of these "
+        f"{table.n} rows fills at most {most} folds"
     )
 
 

@@ -248,18 +248,17 @@ def refine(
     S: RuleSet,
     data: BinaryDataset,
     cfg: TrainConfig,
-    report: TrainReport | None = None,
-    memo: SolveMemo | None = None,
+    report: TrainReport,
+    memo: SolveMemo,
 ) -> RuleSet:
     """Grow-then-replace passes at alpha = 1 until the set stops changing.
 
     Replacements (and pure drops) are kept only when the recomputed V
     strictly improves, otherwise reverted, so V is non-decreasing here
-    even though the subproblem solver is approximate. memo is as in
-    distorted_greedy.
+    even though the subproblem solver is approximate. The solves and the
+    refine totals go into report; memo is as in distorted_greedy.
     """
     h = cfg.hyperparams
-    memo = {} if memo is None else memo
     S = S.copy()
     t0 = time.monotonic()
     passes = 0
@@ -271,8 +270,7 @@ def refine(
         # Grow: fill remaining rule budget at full coverage weight.
         for step in range(len(S), h.max_rules):
             record = _grow(S, data, cfg, memo, "refine-grow", step + 1, 1.0)
-            if report is not None:
-                report.iterations.append(record)
+            report.iterations.append(record)
             if not record.inserted:
                 # Deterministic solver, unchanged S: later slots would
                 # re-derive the same nonpositive rule.
@@ -293,17 +291,15 @@ def refine(
                 record.rule = None
                 record.inserted = False
                 record.profit_after = profit(S, data, h)
-            if report is not None:
-                report.iterations.append(record)
+            report.iterations.append(record)
         if set(S.feature_sets()) == before:
             break
     else:
         raise RuntimeError("refine failed to reach a fixed point within the iteration cap")
 
-    if report is not None:
-        report.refine_seconds = time.monotonic() - t0
-        report.refine_passes = passes
-        report.final_profit = profit(S, data, h)
+    report.refine_seconds = time.monotonic() - t0
+    report.refine_passes = passes
+    report.final_profit = profit(S, data, h)
     return S
 
 

@@ -29,10 +29,6 @@ class LoadedModel:
     descriptors: list[FeatureDescriptor]
     rule_features: list[tuple[int, ...]]
 
-    def rule_names(self) -> list[list[str]]:
-        names = [d.name for d in self.descriptors]
-        return [[names[j] for j in feats] for feats in self.rule_features]
-
 
 # External hyperparameter key (model files, grid files, evaluate output and
 # the CLI flag names) -> Hyperparams field, in output order.
@@ -79,30 +75,33 @@ def hyperparams_from_json(obj: object, require_all: bool = False, prefix: str = 
 
 
 def save_model(
-    path: str,
-    S: RuleSet | Sequence[Sequence[int]],
-    descriptors: Sequence[FeatureDescriptor],
-    h: Hyperparams,
+    path: str, S: RuleSet, descriptors: Sequence[FeatureDescriptor], h: Hyperparams
 ) -> None:
-    feature_sets = S.feature_sets() if isinstance(S, RuleSet) else [tuple(f) for f in S]
     names = [d.name for d in descriptors]
     doc = {
         "format_version": FORMAT_VERSION,
         "hyperparams": hyperparams_to_json(h),
         "features": [asdict(d) for d in descriptors],
-        "rules": [sorted(names[j] for j in feats) for feats in feature_sets],
+        "rules": [sorted(names[j] for j in feats) for feats in S.feature_sets()],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def load_model(path: str) -> LoadedModel:
-    with open(path) as fh:
+def read_json(path: str, error: type[ValueError]) -> object:
+    """The JSON document in a UTF-8 file. Text that is not JSON (nesting
+    too deep for the decoder included), or bytes that are not UTF-8, raise
+    error naming the file."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ModelFormatError(f"{path}: not valid JSON ({e})") from None
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise error(f"{path}: not valid JSON ({e})") from None
+
+
+def load_model(path: str) -> LoadedModel:
+    doc = read_json(path, ModelFormatError)
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object")
     version = doc.get("format_version")

@@ -37,11 +37,10 @@ therefore skip work without changing any result:
 The exact search is seeded with the best rule on that path, which holds
 the rule the round starts from; a seed changes no rule bnb_max returns.
 
-The full-width scans (enlarge's ratio step, ExclusionCoverage's
-marginals_given and singletons, and bits.plan_counts) walk the
-instance's pair plan (bits.complement_pairs): column j + 1 is paired with
-j when it equals universe ^ column j, as binarize always makes it. For a
-mask m within the universe,
+The full-width scans (enlarge's ratio step and bits.plan_counts) walk
+the instance's pair plan (bits.complement_pairs): column j + 1 is paired
+with j when it equals universe ^ column j, as binarize always makes it.
+For a mask m within the universe,
 
     |m & col_{j+1}| = |m| - |m & col_j|
 
@@ -94,7 +93,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import exact_oracle
-from .bits import bit_indices, complement_pairs, intersect_all, plan_counts
+from .bits import bit_indices, intersect_all, plan_counts
 from .dataset import BinaryDataset
 from .objective import TOL, ConfigError, Hyperparams, RuleSet
 
@@ -109,9 +108,7 @@ class ExclusionCoverage:
     excludes. Nonnegative, monotone, and submodular in A.
     """
 
-    __slots__ = (
-        "columns", "universe", "d", "terms", "counts", "per_element", "pairs", "_singletons"
-    )
+    __slots__ = ("columns", "universe", "d", "terms", "counts", "per_element")
 
     def __init__(
         self,
@@ -120,14 +117,10 @@ class ExclusionCoverage:
         terms: Iterable[tuple[float, int]],
         counts: Iterable[list[int]],
         per_element: float = 0.0,
-        pairs: list[tuple[int, int, bool]] | None = None,
     ) -> None:
         self.columns = list(columns)
         self.universe = universe
         self.d = len(self.columns)
-        # bits.complement_pairs of the columns; build_instance passes the
-        # dataset's.
-        self.pairs = complement_pairs(self.columns, universe) if pairs is None else pairs
         # counts[t][j] = |mask_t & col_j| (bits.plan_counts), one list per
         # term; build_instance passes its count table.
         self.terms: list[tuple[float, int]] = []
@@ -137,7 +130,6 @@ class ExclusionCoverage:
                 self.terms.append((float(c), m))
                 self.counts.append(kept)
         self.per_element = float(per_element)
-        self._singletons: list[float] | None = None
 
     def cover(self, features: Iterable[int]) -> int:
         return intersect_all((self.columns[j] for j in features), self.universe)
@@ -150,60 +142,32 @@ class ExclusionCoverage:
         return total
 
     def singletons(self) -> list[float]:
-        """f(j | empty) for every feature j: the full-width reference that
-        singleton() is tested against."""
-        if self._singletons is None:
-            self._singletons = self.marginals_given(())
-        return self._singletons
+        """f(j | empty) for every feature j."""
+        return [self.singleton(j) for j in range(self.d)]
 
     def singleton(self, j: int) -> float:
-        """f(j | empty), singletons()[j], read from the count table without
-        an AND: each term adds coef * (|mask| - |mask & col_j|) in the same
-        order, and a paired j + 1's count |mask| - |mask & col_j| there is
-        the same integer as |mask & col_{j+1}|."""
+        """f(j | empty), read from the count table without an AND. Each term
+        adds coef * (|mask| - |mask & col_j|) in marginals_of's order, and
+        the table's count for a paired j + 1, |mask| - |mask & col_j|, is
+        the same integer as |mask & col_{j+1}|, so the float is the same."""
         g = self.per_element
         for (coef, mask), kept in zip(self.terms, self.counts):
             g += coef * (mask.bit_count() - kept[j])
         return g
 
     def marginals_given(self, base: Sequence[int]) -> list[float]:
-        """f(j | base) for every j not in base; entries for j in base are 0.
-        The full-width reference that marginals_of is tested against.
-
-        Walks the pair plan: the complement j + 1 of a paired j excludes
-        exactly the |mv & col_j| rows of mask mv that j keeps (module
-        docstring), so each term is ANDed once per pair.
-        """
-        base_set = set(base)
-        cov = self.cover(base)
-        state = [(coef, mask & cov, (mask & cov).bit_count()) for coef, mask in self.terms]
+        """f(j | base) for every feature j, 0.0 for j in base: marginals_of
+        over the features outside base."""
+        in_base = set(base)
+        outside = [j for j in range(self.d) if j not in in_base]
         gains = [0.0] * self.d
-        per_element = self.per_element
-        for j, col, paired in self.pairs:
-            if not paired:
-                if j in base_set:
-                    continue
-                g = per_element
-                for coef, mv, pc in state:
-                    g += coef * (pc - (mv & col).bit_count())
-                gains[j] = g
-                continue
-            g = gc = per_element
-            for coef, mv, pc in state:
-                kept = (mv & col).bit_count()
-                g += coef * (pc - kept)
-                gc += coef * kept
-            if j not in base_set:
-                gains[j] = g
-            if j + 1 not in base_set:
-                gains[j + 1] = gc
+        for j, g in zip(outside, self.marginals_of(outside, base)):
+            gains[j] = g
         return gains
 
     def marginals_of(self, features: Iterable[int], base: Sequence[int]) -> list[float]:
         """f(j | base) for each j in features, none of them in base, in
-        order: one AND per term each, and the values marginals_given(base)
-        holds for them (its count |mv| - |mv & col_j| for a paired j + 1 is
-        the same integer as |mv & col_{j+1}|)."""
+        order: one AND per term each."""
         cov = self.cover(base)
         state = [(coef, mask & cov, (mask & cov).bit_count()) for coef, mask in self.terms]
         columns, per_element = self.columns, self.per_element
@@ -411,7 +375,6 @@ def build_instance(
         data.columns,
         data.universe,
         [(h.beta0, negatives), (h.beta2, covered_pos)],
-        pairs=pairs,
         counts=[negative_counts, covered_counts],
     )
     w = ExclusionCoverage(
@@ -419,7 +382,6 @@ def build_instance(
         data.universe,
         [(pos_weight, uncovered_pos)],
         per_element=h.lam,
-        pairs=pairs,
         counts=[uncovered_counts],
     )
     return SubproblemInstance(

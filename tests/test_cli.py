@@ -141,7 +141,8 @@ def test_train_predict_roundtrip(tmp_path, capsys):
     assert "train_accuracy=1.0000" in captured.err
 
     model = load_model(model_json)
-    assert model.rule_names() == [["a = 1", "b = 1"]]
+    names = [d.name for d in model.descriptors]
+    assert [[names[j] for j in f] for f in model.rule_features] == [["a = 1", "b = 1"]]
     with open(report_json) as fh:
         report = json.load(fh)
     assert report["final_profit"] > 0
@@ -534,6 +535,71 @@ def test_evaluate_rejects_fold_without_test_rows(tmp_path, capsys):
     assert "at most 3 folds" in err
 
 
+@pytest.mark.parametrize("folds", ["0", "1", "-1"])
+def test_evaluate_rejects_fewer_than_two_folds(tmp_path, capsys, folds):
+    # --folds 0 used to divide by zero while dealing rows to folds.
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(12), n=40)
+    rc = run(["evaluate", "--data", str(data_csv), "--labels-column", "y",
+              "--single", "--folds", folds])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: n_folds must be >= 2, got {folds}\n"
+
+
+def bad_json_argv(tmp_path, kind, path):
+    """A command that reads path as its schema, grid or model file."""
+    data_csv, model_json = tmp_path / "data.csv", tmp_path / "model.json"
+    write_planted_csv(data_csv, random.Random(14), n=30)
+    data = ["--data", str(data_csv)]
+    if kind == "schema":
+        return ["train", *data, "--schema", str(path), "--model", str(model_json)]
+    if kind == "grid":
+        return ["evaluate", *data, "--labels-column", "y", "--grid", str(path),
+                "--folds", "2"]
+    return ["predict", *data, "--model", str(path)]
+
+
+@pytest.mark.parametrize("kind", ["schema", "grid", "model"])
+@pytest.mark.parametrize("content", [b'{"y": ', b'{"y": "\xff"}', b"[" * 100_000],
+                         ids=["text", "bytes", "deep"])
+def test_json_input_that_is_not_json_names_the_file(tmp_path, capsys, kind, content):
+    # Each used to end in a JSONDecodeError, UnicodeDecodeError or
+    # RecursionError traceback, but for a model file that held text.
+    path = tmp_path / f"bad-{kind}.json"
+    path.write_bytes(content)
+    argv = bad_json_argv(tmp_path, kind, path)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert err.endswith(")\n") and err.count("\n") == 1
+
+
+def run_module(*argv):
+    """`python -m rulecover.cli <argv>` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "rulecover.cli", *argv],
+                          capture_output=True, text=True, env=src_env())
+
+
+def test_module_entry_exits_2_with_one_error_line(tmp_path):
+    bad_schema = tmp_path / "schema.json"
+    bad_schema.write_text('{"y": ')
+    data_csv = tmp_path / "data.csv"
+    write_planted_csv(data_csv, random.Random(15), n=30)
+    for argv in (
+        ["binarize", "--data", str(data_csv), "--schema", str(bad_schema)],
+        ["evaluate", "--data", str(data_csv), "--labels-column", "y", "--single",
+         "--folds", "0"],
+    ):
+        done = run_module(*argv)
+        assert done.returncode == 2, argv
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, argv
+        assert "Traceback" not in done.stderr
+    done = run_module()
+    assert done.returncode == 2
+    assert "usage: rulecover" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_evaluate_jobs_match_serial_run(tmp_path, capsys):
     data_csv = tmp_path / "data.csv"
     grid_json = tmp_path / "grid.json"
@@ -559,13 +625,18 @@ def test_evaluate_jobs_match_serial_run(tmp_path, capsys):
     assert sum(f["cached_solves"] for c in docs[0]["configs"] for f in c["folds"]) > 0
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def modules_loaded_by(code):
     """The names in sys.modules of a fresh interpreter after it ran code."""
     code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                         os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True)
+                         env=src_env(), check=True)
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 

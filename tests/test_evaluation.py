@@ -29,10 +29,18 @@ from rulecover.learner import TrainConfig, train
 from rulecover.objective import ConfigError, Hyperparams, metrics, ruleset_from_features
 
 
+def sweep(beta2_values, lambda_values, k_values, **kw):
+    """A grid in default_grid's order over the given values."""
+    return [
+        TrainConfig(hyperparams=Hyperparams(beta2=beta2, lam=lam, max_rules=k), **kw)
+        for k in k_values
+        for beta2 in beta2_values
+        for lam in lambda_values
+    ]
+
+
 def small_grid(**kw):
-    return default_grid(
-        beta2_values=(0.0,), lambda_values=(0.5,), k_values=(4,), **kw
-    )
+    return sweep((0.0,), (0.5,), (4,), **kw)
 
 
 def planted_table(rng, n=60, flip=0.0):
@@ -85,17 +93,11 @@ def test_make_folds_deterministic_under_seed():
     assert make_folds(labels, 4, seed=9) != make_folds(labels, 4, seed=10)
 
 
-def test_make_folds_unstratified_still_partitions():
-    labels = [1] * 10 + [0] * 10
-    plan = make_folds(labels, 4, stratified=False, seed=0)
-    assert sorted(plan.assignment).count(0) >= 5
-
-
 def test_cv_plan_validation():
     with pytest.raises(ConfigError):
-        CvPlan(n_folds=1, stratified=True, seed=0, assignment=(0,))
+        CvPlan(n_folds=1, seed=0, assignment=(0,))
     with pytest.raises(ConfigError):
-        CvPlan(n_folds=2, stratified=True, seed=0, assignment=(0, 2))
+        CvPlan(n_folds=2, seed=0, assignment=(0, 2))
 
 
 def test_cross_validate_on_identical_halves_gives_identical_folds():
@@ -111,9 +113,9 @@ def test_cross_validate_on_identical_halves_gives_identical_folds():
     f0, f1 = results[0].folds
     assert f0.skipped is None and f1.skipped is None
     assert f0.rules == f1.rules
-    assert f0.train_metrics == f1.train_metrics
-    assert f0.test_metrics == f1.test_metrics
-    assert f0.test_metrics.accuracy == 1.0
+    assert f0.train == f1.train
+    assert f0.test == f1.test
+    assert f0.test.accuracy == 1.0
 
 
 def test_cross_validate_learns_planted_rule():
@@ -136,9 +138,7 @@ def test_cross_validate_skips_single_class_training_folds():
     rows = [["1", "1"]] + [["0", "0"]] * 7
     table = Table.from_rows(["a", "y"], rows)
     schema = {"a": BINARY, "y": LABEL}
-    plan = CvPlan(
-        n_folds=2, stratified=False, seed=0, assignment=(0, 0, 0, 0, 1, 1, 1, 1)
-    )
+    plan = CvPlan(n_folds=2, seed=0, assignment=(0, 0, 0, 0, 1, 1, 1, 1))
     with pytest.warns(UserWarning, match="single-class"):
         results = cross_validate(table, schema, small_grid(), plan)
     skipped = [f for f in results[0].folds if f.skipped]
@@ -153,9 +153,7 @@ def test_cross_validate_orders_results_by_grid_then_fold():
     table, schema = planted_table(rng, n=40)
     labels = [int(v) for v in table.column("y")]
     plan = make_folds(labels, 2, seed=0)
-    grid = default_grid(
-        beta2_values=(0.0, 0.1), lambda_values=(0.5,), k_values=(2,)
-    )
+    grid = sweep((0.0, 0.1), (0.5,), (2,))
     results = cross_validate(table, schema, grid, plan)
     assert [r.cfg for r in results] == grid
     for res in results:
@@ -167,7 +165,7 @@ def test_cross_validate_parallel_matches_serial():
     table, schema = planted_table(rng, n=40)
     labels = [int(v) for v in table.column("y")]
     plan = make_folds(labels, 2, seed=0)
-    grid = default_grid(beta2_values=(0.0,), lambda_values=(0.5, 1.0), k_values=(2,))
+    grid = sweep((0.0,), (0.5, 1.0), (2,))
     serial = cross_validate(table, schema, grid, plan, jobs=1)
     parallel = cross_validate(table, schema, grid, plan, jobs=2)
 
@@ -208,10 +206,7 @@ def test_shared_fold_memo_matches_fresh_fits():
     plan = make_folds(labels, 3, seed=4)
     grid = []
     for mode in ("local", "bnb"):
-        grid += default_grid(
-            beta2_values=(0.0, 0.1), lambda_values=(0.5, 2.0), k_values=(2, 3, 5),
-            subproblem=mode,
-        )
+        grid += sweep((0.0, 0.1), (0.5, 2.0), (2, 3, 5), subproblem=mode)
     # differs from grid[0] only in active_size
     grid.append(replace(grid[0], hyperparams=replace(grid[0].hyperparams, active_size=2)))
     seen = []
@@ -233,9 +228,9 @@ def test_shared_fold_memo_matches_fresh_fits():
             got = res.folds[fold]
             assert got.rules == [[names[j] for j in f] for f in S.feature_sets()]
             assert got.final_profit == report.final_profit
-            assert got.train_metrics == metrics(S, data)
+            assert got.train == metrics(S, data)
             test_set = ruleset_from_features(S.feature_sets(), test_data)
-            assert got.test_metrics == metrics(test_set, test_data)
+            assert got.test == metrics(test_set, test_data)
             # Same records; the shared memo only answers more of them.
             assert got.solves + got.cached_solves == report.solves + report.cached_solves
             assert got.cached_solves >= report.cached_solves
@@ -257,8 +252,8 @@ def test_cross_validate_rejects_fold_without_test_rows(monkeypatch):
     plan = make_folds([int(r[1]) for r in rows], 4, seed=0)
     with pytest.raises(ConfigError, match=r"fold 3 of 4 .*at most 3 folds"):
         cross_validate(table, schema, small_grid(), plan)
-    plan = CvPlan(n_folds=4, stratified=False, seed=0, assignment=(0, 0, 1, 1, 0, 1))
-    with pytest.raises(ConfigError, match=r"folds 2, 3 of 4 .*at most 6 folds"):
+    plan = make_folds([int(r[1]) for r in rows], 5, seed=0)
+    with pytest.raises(ConfigError, match=r"folds 3, 4 of 5 .*at most 3 folds"):
         cross_validate(table, schema, small_grid(), plan)
 
 
@@ -294,7 +289,7 @@ def test_metrics_recomputable_from_reported_rules():
             table.select_rows(test_rows), train_data.descriptors, "y"
         )
         S = ruleset_from_features(sets, test_data)
-        assert compute_metrics(S, test_data) == fold_res.test_metrics
+        assert compute_metrics(S, test_data) == fold_res.test
 
 
 def test_default_grid_composition():
@@ -314,7 +309,7 @@ def test_select_best_prefers_accuracy_then_brevity():
     plan = make_folds(labels, 2, seed=0)
     # lam=0 tolerates clutter; a positive literal price forces the minimal
     # rule while both reach perfect training accuracy
-    grid = default_grid(beta2_values=(0.0,), lambda_values=(0.0, 0.5), k_values=(4,))
+    grid = sweep((0.0,), (0.0, 0.5), (4,))
     results = cross_validate(table, schema, grid, plan)
     best = select_best(results)
     acc0, _ = results[0].aggregate("train", "accuracy")

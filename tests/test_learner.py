@@ -350,7 +350,7 @@ def test_refine_never_lowers_profit():
         h = random_hyperparams(rng)
         cfg = TrainConfig(hyperparams=h)
         S, report = distorted_greedy(data, cfg)
-        refined = refine(S, data, cfg, report)
+        refined = refine(S, data, cfg, report, {})
         assert report.final_profit >= report.greedy_profit - 1e-9
         assert report.final_profit == pytest.approx(profit(refined, data, h), abs=1e-9)
         assert len(refined) <= h.max_rules
@@ -455,7 +455,7 @@ def test_train_matches_greedy_plus_refine():
     cfg = TrainConfig(hyperparams=h)
     S_all, rep_all = train(data, cfg)
     S_g, rep_g = distorted_greedy(data, cfg)
-    S_r = refine(S_g, data, cfg)
+    S_r = refine(S_g, data, cfg, rep_g, {})
     assert sorted(S_all.feature_sets()) == sorted(S_r.feature_sets())
     assert rep_all.final_profit == pytest.approx(profit(S_r, data, h), abs=1e-9)
 

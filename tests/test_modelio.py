@@ -234,7 +234,6 @@ def test_empty_model_roundtrip(tmp_path):
     save_model(path, RuleSet(), data.descriptors, Hyperparams())
     model = load_model(path)
     assert model.rule_features == []
-    assert model.rule_names() == []
 
 
 def test_render_rules_formats():

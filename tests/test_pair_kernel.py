@@ -1,8 +1,7 @@
 """The full-width scans over the pair plan against per-column references.
 
-enlarge, ExclusionCoverage.marginals_given and SubproblemInstance.pos_ub
-count a complement pair (j, j + 1) with one AND per mask; chain_gains
-stops ANDing once every mask is empty. The count table (the dataset's
+enlarge and SubproblemInstance.pos_ub count a complement pair (j, j + 1)
+with one AND per mask; chain_gains stops ANDing once every mask is empty. The count table (the dataset's
 class_counts and each instance's uncovered counts) answers pos_ub, the
 singleton marginals and enlarge's first step without an AND, and ds_opt
 walks only the live prefix of its chain. The frozen_* functions below are
@@ -323,7 +322,7 @@ def test_dataset_builds_its_plan_once_and_only_on_demand():
     twin = BinaryDataset(data.n, list(data.columns), data.labels, list(data.descriptors))
     assert twin == data
     inst = build_instance(RuleSet(), data, Hyperparams(), 1.0)
-    assert inst.pairs is plan and inst.u.pairs is plan and inst.w.pairs is plan
+    assert inst.pairs is plan
 
 
 def test_enlarge_matches_per_column_scan():
@@ -365,14 +364,13 @@ def test_marginals_given_match_per_column_scan():
             assert f.singletons() == frozen_marginals_given(f, ())
 
 
-def test_directly_built_coverage_finds_its_own_pairs():
+def test_directly_built_coverage_matches_per_column_scan():
     rng = random.Random(7)
     for _ in range(200):
         data = layout_dataset(rng)
         terms = [(rng.choice([0.5, 1.0, 3.0]), rng.getrandbits(data.n)) for _ in range(2)]
         f = exclusion_coverage(data.columns, data.universe, terms,
                                per_element=rng.choice([0.0, 1.0]))
-        assert f.pairs == complement_pairs(data.columns, data.universe)
         base = start_features(rng, build_instance(RuleSet(), data, Hyperparams(), 1.0))
         assert f.marginals_given(base) == frozen_marginals_given(f, base)
 
@@ -430,9 +428,9 @@ def test_scans_and_each_pair_once_and_chains_stop_at_empty_masks():
         (lambda: [inst.w.singleton(j) for j in range(data.d)], 0),
         # The plan holds at least three pairs, so every value is lam.
         (inst.w_full_loo, 0),
-        # The reference scans.
-        (lambda: inst.u.marginals_given(()), 2 * half),
-        (lambda: inst.w.marginals_given(()), half),
+        # Views over marginals_of: one AND per kept term and feature.
+        (lambda: inst.u.marginals_given(()), 2 * data.d),
+        (lambda: inst.w.marginals_given(()), data.d),
         # The first step reads the table; then the chosen column's three.
         (lambda: enlarge((), 1, inst), 3),
         # One step from a one-feature rule: its cover, three masks per
