@@ -38,7 +38,7 @@ import re
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .bits import all_ones, complement_pairs, pack_bools, pack_codes, plan_counts
@@ -79,10 +79,18 @@ class DataError(ValueError):
 
 @dataclass
 class Table:
-    """Column-major table of raw string cells."""
+    """Column-major table of raw string cells.
+
+    A column is a list of its cells, or a str whose character i is cell i.
+    Table.from_rows gives every column the str form when every cell of the
+    table is exactly one character other than whitespace, as in the
+    tic-tac-toe and mushroom tables: one byte per ASCII cell instead of an
+    8-byte list slot. Index or iterate a column to
+    read its cells; `x in column` tests for a substring of a str column, and
+    a str column holds no empty cell."""
 
     names: list[str]
-    columns: list[list[str]]
+    columns: list[Sequence[str]]
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.columns):
@@ -97,23 +105,38 @@ class Table:
     def n(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 
-    def column(self, name: str) -> list[str]:
+    def column(self, name: str) -> Sequence[str]:
         return self.columns[self.names.index(name)]
 
     def select_rows(self, rows: Sequence[int]) -> "Table":
-        return Table(list(self.names), [[c[i] for i in rows] for c in self.columns])
+        """The table of the given rows; a str column stays a str."""
+        picked = []
+        for c in self.columns:
+            cells = [c[i] for i in rows]
+            picked.append("".join(cells) if isinstance(c, str) else cells)
+        return Table(list(self.names), picked)
 
     @classmethod
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence[str]]) -> "Table":
         """The table of the stripped cells. Each row's width is checked as
         the row is reached, so a ragged row is reported before anything
-        that iterating past it would raise. Rows are then transposed
-        READ_BLOCK at a time: one C-level step per column and block, not
-        one Python step per cell. A column's block none of whose cells
-        holds whitespace is taken as read, since str.strip would return
-        every cell unchanged. Columns are probed only when the block's
-        first row holds no whitespace, so that a padded file, whose first
-        row shows it, pays one row's probe per block."""
+        that iterating past it would raise. Rows are taken READ_BLOCK at a
+        time, so that the work is one C-level step per block, or per column
+        and block, not one Python step per cell.
+
+        While every block read is narrow, each is kept as the string of its
+        cells joined in row order. A block is narrow when its joined cells
+        are one character per cell, none of them empty, and none a
+        character str.strip removes; then every cell is one character that
+        stripping keeps, and column j of the table is every width-th
+        character of the joined blocks, from character j. The first block
+        that is not narrow turns the narrow prefix into list columns, and
+        it and every later block are transposed into them. A column's block
+        none of whose cells holds whitespace is taken as read, since
+        str.strip would return every cell unchanged. Columns are probed
+        only when the block's first row holds no whitespace, so that a
+        padded file, whose first row shows it, pays one row's probe per
+        block."""
         width = len(names)
 
         def checked() -> Iterator[Sequence[str]]:
@@ -122,13 +145,25 @@ class Table:
                     raise DataError(f"row has {len(row)} cells, expected {width}")
                 yield row
 
+        narrow: list[str] | None = []
         cols: list[list[str]] = [[] for _ in names]
         blocks = checked()
         while block := list(islice(blocks, READ_BLOCK)):
+            if narrow is not None:
+                flat = list(chain.from_iterable(block))
+                joined = "".join(flat)
+                if len(joined) == len(flat) and "" not in flat and _blank_free(joined):
+                    narrow.append(joined)
+                    continue
+                if narrow:
+                    cols = [list(c) for c in _narrow_columns(narrow, width)]
+                narrow = None
             probe = _blank_free("".join(block[0]))
             for c, cells in zip(cols, zip(*block)):
                 plain = probe and _blank_free("".join(cells))
                 c.extend(cells if plain else map(str.strip, cells))
+        if narrow:
+            return cls(list(names), _narrow_columns(narrow, width))
         return cls(list(names), cols)
 
     @classmethod
@@ -159,6 +194,16 @@ class Table:
                 return cls.from_rows([h.strip() for h in header], reader)
             except csv.Error as e:
                 raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+
+
+def _narrow_columns(blocks: list[str], width: int) -> list[str]:
+    """The str columns of a table of `width` columns whose one-character
+    cells are the characters of blocks in row order. blocks is emptied
+    before the columns are cut, so that it and the joined text are not
+    both held with them."""
+    whole = "".join(blocks)
+    blocks.clear()
+    return [whole[j::width] for j in range(width)]
 
 
 def _blank_free(text: str) -> bool:
@@ -401,20 +446,21 @@ class BinaryDataset:
         )
 
 
-def _label_bits(col: list[str], name: str) -> int:
+def _label_bits(col: Sequence[str], name: str) -> int:
     bad = set(col) - {"0", "1"}
     if bad:
         raise DataError(f"label column {name!r} must be 0/1, got {sorted(bad)!r}")
     return _digit_bits(col)
 
 
-def _digit_bits(col: list[str]) -> int:
+def _digit_bits(col: Sequence[str]) -> int:
     """Bitset of a column whose every cell is "0" or "1": the cells are
     its digits, bit 0 first."""
-    return int("".join(col)[::-1] or "0", 2)
+    digits = col if isinstance(col, str) else "".join(col)
+    return int(digits[::-1] or "0", 2)
 
 
-def _parse_numbers(col: list[str], name: str) -> list[float]:
+def _parse_numbers(col: Sequence[str], name: str) -> list[float]:
     """The column's values, parsed at C speed; on a bad column, the error
     _parse_number raises on its first bad cell."""
     try:
@@ -438,7 +484,7 @@ def _pack_cuts(values: list[float], cuts: list[float]) -> list[int]:
     return out
 
 
-def _pack_operands(col: list[str], operands: list[str]) -> list[int]:
+def _pack_operands(col: Sequence[str], operands: list[str]) -> list[int]:
     """The bitset of `cell = z` for each distinct operand z. A cell's code
     is z's index in a window of operands, or the window's length for a cell
     equal to none of them."""
@@ -452,7 +498,7 @@ def _pack_operands(col: list[str], operands: list[str]) -> list[int]:
 
 
 def _encode_column(
-    col: list[str],
+    col: Sequence[str],
     name: str,
     descriptors: Sequence[FeatureDescriptor],
     universe: int,
@@ -467,11 +513,13 @@ def _encode_column(
     distinct, when given, is set(col), and values, when given, is
     _parse_numbers(col, name); binarize has both at hand. Otherwise a
     column with a raw-binary descriptor builds the set here, which its
-    check needs anyway, and other columns scan the cells for "", which
-    costs less than building a set."""
+    check needs anyway, and other list columns scan the cells for "",
+    which costs less than building a set. A str column holds no empty
+    cell, and `"" in` it would test for a substring."""
     if distinct is None and any(d.kind == "raw-binary" for d in descriptors):
         distinct = set(col)
-    if "" in (col if distinct is None else distinct):
+    scanned = col if distinct is None else distinct
+    if not isinstance(scanned, str) and "" in scanned:
         raise DataError(f"{name}: missing values are not supported")
     packed: dict[tuple, int] = {}  # ("<=", cut), ("=", category) or ("binary",)
     out = []

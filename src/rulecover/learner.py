@@ -318,15 +318,6 @@ def train(
     return S, report
 
 
-def predict(S: RuleSet | Sequence[Sequence[int]], bits: Sequence[int]) -> int:
-    """Predict one sample given its binary feature vector."""
-    feature_sets = S.feature_sets() if isinstance(S, RuleSet) else S
-    for feats in feature_sets:
-        if all(bits[j] for j in feats):
-            return 1
-    return 0
-
-
 def predict_dataset(S: RuleSet | Sequence[Sequence[int]], data: BinaryDataset) -> list[int]:
     """Predictions for every row of a binarized dataset."""
     feature_sets = S.feature_sets() if isinstance(S, RuleSet) else S

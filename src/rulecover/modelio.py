@@ -90,10 +90,11 @@ def save_model(
 
 
 def read_json(path: str, error: type[ValueError]) -> object:
-    """The JSON document in a UTF-8 file. Text that is not JSON (nesting
+    """The JSON document in a UTF-8 file; a leading byte-order mark, as
+    Table.read_csv takes it, is dropped. Text that is not JSON (nesting
     too deep for the decoder included), or bytes that are not UTF-8, raise
     error naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:

@@ -546,7 +546,7 @@ def test_evaluate_rejects_fewer_than_two_folds(tmp_path, capsys, folds):
     assert capsys.readouterr().err == f"error: n_folds must be >= 2, got {folds}\n"
 
 
-def bad_json_argv(tmp_path, kind, path):
+def json_input_argv(tmp_path, kind, path):
     """A command that reads path as its schema, grid or model file."""
     data_csv, model_json = tmp_path / "data.csv", tmp_path / "model.json"
     write_planted_csv(data_csv, random.Random(14), n=30)
@@ -567,12 +567,37 @@ def test_json_input_that_is_not_json_names_the_file(tmp_path, capsys, kind, cont
     # RecursionError traceback, but for a model file that held text.
     path = tmp_path / f"bad-{kind}.json"
     path.write_bytes(content)
-    argv = bad_json_argv(tmp_path, kind, path)
+    argv = json_input_argv(tmp_path, kind, path)
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: not valid JSON (")
     assert err.endswith(")\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["schema", "grid", "model"])
+def test_json_input_may_start_with_a_byte_order_mark(tmp_path, capsys, kind):
+    # Editors and spreadsheet exports often start a UTF-8 file with the mark
+    # EF BB BF, which read_csv drops; each JSON input used to be rejected
+    # as not valid JSON because of it.
+    plain = tmp_path / f"{kind}.json"
+    if kind == "schema":
+        write_schema(plain)
+    elif kind == "grid":
+        plain.write_text(json.dumps([{"k": 2, "beta2": 0.1, "lambda": 1}]))
+    else:
+        data_csv = tmp_path / "train.csv"
+        write_planted_csv(data_csv, random.Random(14), n=30)
+        assert run(["train", "--data", str(data_csv), "--labels-column", "y",
+                    "--model", str(plain)]) == 0
+    marked = tmp_path / f"marked-{kind}.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        capsys.readouterr()
+        assert run(json_input_argv(tmp_path, kind, path)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 def run_module(*argv):

@@ -14,7 +14,11 @@ import pytest
 from conftest import random_table
 from rulecover.bits import all_ones
 from rulecover.dataset import (
+    BINARY,
+    CATEGORICAL,
     CODE_WINDOW,
+    LABEL,
+    NUMERIC,
     DataError,
     FeatureDescriptor,
     Table,
@@ -22,6 +26,7 @@ from rulecover.dataset import (
     _parse_number,
     apply_descriptors,
     binarize,
+    infer_schema,
 )
 
 
@@ -191,3 +196,42 @@ def test_binary_and_categorical_codes_on_one_column():
     assert assert_encodes_like_reference(col, group) == [
         0b01001, 0b10110, 0b01001, 0b11111, 0b10110,
     ]
+
+
+def _dataset_or_error(encode, *args):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return encode(*args)
+    except DataError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("bad", [None, ("b", "2"), ("v", "x"), ("c", " "), ("y", "2")])
+def test_str_columns_encode_like_the_same_cells_in_lists(bad):
+    # Table.from_rows holds a table whose every cell is one character as
+    # str columns. binarize and apply_descriptors must give the dataset, or
+    # the error, that the same cells give in list columns.
+    names = ["c", "v", "b", "y"]
+    schema = {"c": CATEGORICAL, "v": NUMERIC, "b": BINARY, "y": LABEL}
+    alphabet = {"c": "abé☃", "v": "0123456789", "b": "01", "y": "01"}
+    rng = random.Random(21)
+    for n in (1, 2, 7, 40, 100):
+        rows = [[rng.choice(alphabet[k]) for k in names] for _ in range(n)]
+        clean = Table.from_rows(names, rows)
+        fitted = _dataset_or_error(binarize, clean, schema)
+        if bad is not None:
+            name, cell = bad
+            rows[rng.randrange(n)][names.index(name)] = cell
+        narrow = Table(names, ["".join(row[k] for row in rows) for k in range(len(names))])
+        listed = Table(names, [[row[k] for row in rows] for k in range(len(names))])
+        assert _dataset_or_error(binarize, narrow, schema) == _dataset_or_error(
+            binarize, listed, schema)
+        if n > 1:
+            assert infer_schema(narrow, "y") == infer_schema(listed, "y")
+        if not isinstance(fitted, tuple):
+            applied = [_dataset_or_error(apply_descriptors, t, fitted.descriptors, "y")
+                       for t in (narrow, listed)]
+            assert applied[0] == applied[1]
+            if bad == ("b", "2") and any(d.source_name == "b" for d in fitted.descriptors):
+                assert applied[0] == (DataError, "b: non-binary value '2'")

@@ -17,7 +17,6 @@ from rulecover.learner import (
     TrainConfig,
     _alpha,
     distorted_greedy,
-    predict,
     predict_dataset,
     refine,
     train,
@@ -491,6 +490,15 @@ def test_report_times_each_solve_and_no_cached_one():
     assert [it["seconds"] for it in report.as_dict()["iterations"]] == [
         r.seconds for r in report.iterations
     ]
+
+
+def predict(feature_sets, bits):
+    """The single-row predictor that predict_dataset is checked against:
+    1 when some rule's features are all set in the row's bits."""
+    for feats in feature_sets:
+        if all(bits[j] for j in feats):
+            return 1
+    return 0
 
 
 def test_predict_on_hand_rows():

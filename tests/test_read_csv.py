@@ -1,12 +1,15 @@
 """Table.read_csv and Table.from_rows against a frozen per-cell reader.
 
 from_rows transposes rows in blocks of READ_BLOCK and strips only the
-column blocks that hold whitespace; the frozen copy below is the per-cell
-loop it replaced. Both must give identical cells, and the same error at
-the same row, at every row count around a block boundary.
+column blocks that hold whitespace, or, while every cell is one character
+that stripping keeps, holds each column as a str; the frozen copy below is
+the per-cell loop it replaced. Both must give identical cells, and the
+same error at the same row, at every row count around a block boundary.
 """
 
 import csv
+import random
+import tracemalloc
 
 import pytest
 
@@ -39,12 +42,13 @@ def frozen_read_csv(path):
 
 
 def outcome(read, *args):
-    """(names, columns) of a read, or (error type, message) if it raised."""
+    """(names, cells of each column) of a read, or (error type, message) if
+    it raised."""
     try:
         table = read(*args)
     except (DataError, csv.Error) as e:
         return type(e), str(e)
-    return table.names, table.columns
+    return table.names, [list(c) for c in table.columns]
 
 
 def padded_rows(n, width=3):
@@ -55,6 +59,20 @@ def padded_rows(n, width=3):
         pad = PADS[i % len(PADS)]
         rows.append([f"{pad}v{i}", f"x{i}{pad}", f"{pad}a\r\nb {i}\n{pad}"][:width])
     return rows
+
+
+def narrow_rows(n, width=3):
+    """n rows of one-character cells, none of them whitespace, some of
+    them not ASCII."""
+    cells = "01xoé☃,\"b"
+    return [[cells[(i + 3 * k) % len(cells)] for k in range(width)] for i in range(n)]
+
+
+def is_narrow(table):
+    """Whether from_rows held the table as str columns."""
+    kinds = {type(c) for c in table.columns}
+    assert len(kinds) == 1
+    return kinds == {str}
 
 
 def write(path, rows, header=("a", " b\xa0", "\tc")):
@@ -84,18 +102,21 @@ def test_read_csv_matches_per_cell_reader(tmp_path, n):
 
 @pytest.mark.parametrize("bad", [0, B - 1, B, 2 * B + 3])
 def test_ragged_row_is_reported_at_the_same_row(tmp_path, bad):
-    rows = padded_rows(3 * B + 2)
-    rows[bad] = rows[bad][:2]
-    names = ["a", "b", "c"]
-    expected = outcome(frozen_from_rows, names, rows)
-    assert expected == (DataError, "row has 2 cells, expected 3")
-    pulled = []
-    assert outcome(Table.from_rows, names, counting(rows, pulled)) == expected
-    # Nothing past the ragged row was read.
-    assert len(pulled) == bad + 1
-    path = tmp_path / "t.csv"
-    write(path, rows)
-    assert outcome(Table.read_csv, str(path)) == expected
+    # In padded rows, and in one-character rows, whose blocks before the
+    # ragged row are held as str columns.
+    for make in (padded_rows, narrow_rows):
+        rows = make(3 * B + 2)
+        rows[bad] = rows[bad][:2]
+        names = ["a", "b", "c"]
+        expected = outcome(frozen_from_rows, names, rows)
+        assert expected == (DataError, "row has 2 cells, expected 3")
+        pulled = []
+        assert outcome(Table.from_rows, names, counting(rows, pulled)) == expected
+        # Nothing past the ragged row was read.
+        assert len(pulled) == bad + 1
+        path = tmp_path / "t.csv"
+        write(path, rows)
+        assert outcome(Table.read_csv, str(path)) == expected
 
 
 @pytest.mark.parametrize("bad", [0, B - 3, B + 1])
@@ -121,6 +142,7 @@ def test_header_only_and_empty_files(tmp_path):
     path = tmp_path / "t.csv"
     write(path, [])
     assert outcome(Table.read_csv, str(path)) == (["a", "b", "c"], [[], [], []])
+    assert not is_narrow(Table.read_csv(str(path)))
     assert outcome(Table.read_csv, str(path)) == outcome(frozen_read_csv, str(path))
     path.write_bytes(b"")
     assert outcome(Table.read_csv, str(path)) == (DataError, f"{path}: empty file")
@@ -129,13 +151,16 @@ def test_header_only_and_empty_files(tmp_path):
 
 def test_bytes_that_are_not_utf8_are_reported_at_their_line(tmp_path):
     path = tmp_path / "t.csv"
-    lines = [b"a,b"] + [b"%d,%d" % (i, i) for i in range(2000)]
-    for bad in (0, 1, 5, 1500):
-        broken = list(lines)
-        broken[bad] = b"\xff\xfe" + broken[bad]
-        path.write_bytes(b"\r\n".join(broken) + b"\r\n")
-        assert outcome(Table.read_csv, str(path)) == (
-            DataError, f"{path}: line {bad + 1}: bytes that are not UTF-8")
+    # Cells of one digit, held as str columns until the bad line, and of
+    # several digits.
+    for modulus in (10, 10_000):
+        lines = [b"a,b"] + [b"%d,%d" % (i % modulus, i % modulus) for i in range(2000)]
+        for bad in (0, 1, 5, 1500):
+            broken = list(lines)
+            broken[bad] = b"\xff\xfe" + broken[bad]
+            path.write_bytes(b"\r\n".join(broken) + b"\r\n")
+            assert outcome(Table.read_csv, str(path)) == (
+                DataError, f"{path}: line {bad + 1}: bytes that are not UTF-8")
     # A ragged row before the bad bytes is reported first, even though the
     # text layer decodes both in the same chunk.
     broken = list(lines)
@@ -202,8 +227,8 @@ def test_blocks_without_whitespace_are_kept_as_read():
     names = ["a", "b", "c"]
     rows = [["1", "", f"é{i}"] for i in range(2 * B + 1)]
     table = Table.from_rows(names, rows)
-    assert table.columns == [["1"] * (2 * B + 1), [""] * (2 * B + 1),
-                             [f"é{i}" for i in range(2 * B + 1)]]
+    assert [list(c) for c in table.columns] == [
+        ["1"] * (2 * B + 1), [""] * (2 * B + 1), [f"é{i}" for i in range(2 * B + 1)]]
 
 
 def test_a_leading_byte_order_mark_is_dropped(tmp_path):
@@ -223,3 +248,81 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
         DataError, f"{path}: line 3: bytes that are not UTF-8")
     path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
     assert outcome(Table.read_csv, str(path)) == (["a", "b"], [["1"], ["2"]])
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 2])
+def test_one_character_tables_match_per_cell_reader(tmp_path, n):
+    names = ["a", "b", "c"]
+    rows = narrow_rows(n)
+    expected = outcome(frozen_from_rows, names, rows)
+    assert outcome(Table.from_rows, names, rows) == expected
+    assert is_narrow(Table.from_rows(names, rows))
+    path = tmp_path / "t.csv"
+    write(path, rows)
+    assert outcome(Table.read_csv, str(path)) == expected
+    assert is_narrow(Table.read_csv(str(path)))
+
+
+@pytest.mark.parametrize("at", [0, B - 1, 2 * B + 1])
+@pytest.mark.parametrize("row", [["", "bc", "d"], ["x", "yz", ""], ["a", "-2.353", "c"],
+                                 [" a", "b", "c"], ["a", "b", "c "]])
+def test_a_row_of_other_cells_turns_the_table_to_lists(tmp_path, at, row):
+    # The empty and two-character cells join to one character per cell; at
+    # 2 * B + 1 the row follows two blocks held as str columns.
+    names = ["a", "b", "c"]
+    rows = narrow_rows(3 * B)
+    rows[at] = row
+    expected = outcome(frozen_from_rows, names, rows)
+    assert outcome(Table.from_rows, names, rows) == expected
+    assert not is_narrow(Table.from_rows(names, rows))
+    path = tmp_path / "t.csv"
+    write(path, rows)
+    assert outcome(Table.read_csv, str(path)) == expected
+
+
+@pytest.mark.parametrize("at", [0, B + 1])
+def test_each_whitespace_character_alone_in_a_cell_is_stripped(tmp_path, at):
+    # Each is one character, but str.strip leaves the empty cell. "\n" and
+    # "\r" are written quoted.
+    names = ["a", "b", "c"]
+    for space in SPACES:
+        rows = narrow_rows(2 * B)
+        rows[at][1] = space
+        expected = outcome(frozen_from_rows, names, rows)
+        assert expected[1][1][at] == ""
+        assert outcome(Table.from_rows, names, rows) == expected
+        path = tmp_path / "t.csv"
+        write(path, rows)
+        if space == "\n":
+            assert b'"\n"' in path.read_bytes()
+        assert outcome(Table.read_csv, str(path)) == expected
+
+
+def test_select_rows_keeps_str_columns():
+    names = ["a", "b", "c"]
+    narrow = Table.from_rows(names, narrow_rows(3 * B))
+    listed = Table(names, [list(c) for c in narrow.columns])
+    for rows in ([5, 0, 0, 3 * B - 1], [], range(3 * B), [7]):
+        picked = narrow.select_rows(rows)
+        assert is_narrow(picked)
+        assert [list(c) for c in picked.columns] == listed.select_rows(rows).columns
+
+
+def test_one_character_tables_are_held_at_one_byte_per_cell(tmp_path):
+    # List columns take an 8-byte slot per cell; str columns of ASCII cells
+    # take one byte, and the read holds at most a few copies at once.
+    n, width = 2000, 257
+    rng = random.Random(3)
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"c{k}" for k in range(width)) + "\n")
+        for _ in range(n):
+            fh.write(",".join(rng.choices("01", k=width)) + "\n")
+    tracemalloc.start()
+    try:
+        table = Table.read_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * width
+    assert table.n == n and is_narrow(table)
