@@ -7,7 +7,7 @@ op, which is what the solver hot loops need.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def all_ones(n: int) -> int:
@@ -30,14 +30,6 @@ def pack_codes(codes: bytes, hits: Iterable[int]) -> int:
     for code in hits:
         table[code] = 49  # ord("1")
     return int(codes.translate(table)[::-1] or b"0", 2)
-
-
-def bit_indices(x: int) -> Iterator[int]:
-    """Yield set bit positions in ascending order."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def complement_pairs(columns: Sequence[int], universe: int) -> list[tuple[int, int, bool]]:

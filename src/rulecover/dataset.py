@@ -39,6 +39,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .bits import all_ones, complement_pairs, pack_bools, pack_codes, plan_counts
@@ -60,11 +61,12 @@ NUMERIC_KINDS = ("numeric-le", "numeric-gt")
 # Operands per pass of the code-byte encoder: codes 0..254 name them and the
 # last value is left for a cell past every cut or equal to no category.
 CODE_WINDOW = 255
-# Rows that Table.from_rows transposes at once. Larger blocks take fewer
-# steps but hold more rows at a time. The peak resident set of the wide
-# bench train (2,000 rows of 1,025 cells, Python 3.11, 3 runs each) was
-# 35.1-35.2 MB at 32 rows against 35.3-35.4 MB for the per-cell loop, and
-# 36.5 MB at 16 and at 64 rows: allocator layout, so re-measure on change.
+# Rows that _columns transposes, and lines that _narrow_lines reads, at
+# once. Larger blocks take fewer steps but hold more rows at a time. The
+# peak resident set of the wide bench train (2,000 rows of 1,025 cells,
+# Python 3.11, 3 runs each) was 35.1-35.2 MB at 32 rows against 35.3-35.4
+# MB for the per-cell loop, and 36.5 MB at 16 and at 64 rows: allocator
+# layout, so re-measure on change.
 READ_BLOCK = 32
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -87,7 +89,8 @@ class Table:
     tic-tac-toe and mushroom tables: one byte per ASCII cell instead of an
     8-byte list slot. Index or iterate a column to
     read its cells; `x in column` tests for a substring of a str column, and
-    a str column holds no empty cell."""
+    a str column holds no empty cell. Tables are equal when their names and
+    cells are, whatever form their columns take."""
 
     names: list[str]
     columns: list[Sequence[str]]
@@ -108,63 +111,28 @@ class Table:
     def column(self, name: str) -> Sequence[str]:
         return self.columns[self.names.index(name)]
 
+    def __eq__(self, other: object) -> bool:
+        """Equal names and equal cells, whichever form each column has."""
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.names == other.names and all(
+            a == b or list(a) == list(b) for a, b in zip(self.columns, other.columns)
+        )
+
     def select_rows(self, rows: Sequence[int]) -> "Table":
         """The table of the given rows; a str column stays a str."""
-        picked = []
-        for c in self.columns:
-            cells = [c[i] for i in rows]
-            picked.append("".join(cells) if isinstance(c, str) else cells)
+        # itemgetter of two or more indices gathers a tuple of cells in C;
+        # of one it returns the bare cell, and of none it cannot be made.
+        get = itemgetter(*rows) if len(rows) > 1 else lambda c: [c[i] for i in rows]
+        picked = [
+            "".join(get(c)) if isinstance(c, str) else list(get(c)) for c in self.columns
+        ]
         return Table(list(self.names), picked)
 
     @classmethod
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence[str]]) -> "Table":
-        """The table of the stripped cells. Each row's width is checked as
-        the row is reached, so a ragged row is reported before anything
-        that iterating past it would raise. Rows are taken READ_BLOCK at a
-        time, so that the work is one C-level step per block, or per column
-        and block, not one Python step per cell.
-
-        While every block read is narrow, each is kept as the string of its
-        cells joined in row order. A block is narrow when its joined cells
-        are one character per cell, none of them empty, and none a
-        character str.strip removes; then every cell is one character that
-        stripping keeps, and column j of the table is every width-th
-        character of the joined blocks, from character j. The first block
-        that is not narrow turns the narrow prefix into list columns, and
-        it and every later block are transposed into them. A column's block
-        none of whose cells holds whitespace is taken as read, since
-        str.strip would return every cell unchanged. Columns are probed
-        only when the block's first row holds no whitespace, so that a
-        padded file, whose first row shows it, pays one row's probe per
-        block."""
-        width = len(names)
-
-        def checked() -> Iterator[Sequence[str]]:
-            for row in rows:
-                if len(row) != width:
-                    raise DataError(f"row has {len(row)} cells, expected {width}")
-                yield row
-
-        narrow: list[str] | None = []
-        cols: list[list[str]] = [[] for _ in names]
-        blocks = checked()
-        while block := list(islice(blocks, READ_BLOCK)):
-            if narrow is not None:
-                flat = list(chain.from_iterable(block))
-                joined = "".join(flat)
-                if len(joined) == len(flat) and "" not in flat and _blank_free(joined):
-                    narrow.append(joined)
-                    continue
-                if narrow:
-                    cols = [list(c) for c in _narrow_columns(narrow, width)]
-                narrow = None
-            probe = _blank_free("".join(block[0]))
-            for c, cells in zip(cols, zip(*block)):
-                plain = probe and _blank_free("".join(cells))
-                c.extend(cells if plain else map(str.strip, cells))
-        if narrow:
-            return cls(list(names), _narrow_columns(narrow, width))
-        return cls(list(names), cols)
+        """The table of the stripped cells of rows, read as _columns says."""
+        return cls(list(names), _columns(rows, len(names), []))
 
     @classmethod
     def read_csv(cls, path: str) -> "Table":
@@ -172,7 +140,12 @@ class Table:
         byte-order mark, which spreadsheet exports often write, is dropped.
         A line the csv module rejects, or bytes that are not UTF-8, is a
         DataError naming the file and the line; the first error in row
-        order is reported."""
+        order is reported.
+
+        While every cell is one character, the rows after the header are
+        read as raw lines, READ_BLOCK at a time (_narrow_lines), and the csv
+        module parses only the header; from the first block that is not
+        narrow on, it parses the rest of the file."""
         try:
             return cls._read_csv(path, "strict")
         except UnicodeDecodeError:
@@ -187,13 +160,105 @@ class Table:
         with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
             lines = fh if errors == "strict" else _utf8_lines(fh, path)
             reader = csv.reader(lines)
+            skipped = 0
             try:
                 header = next(reader, None)
                 if header is None:
                     raise DataError(f"{path}: empty file")
-                return cls.from_rows([h.strip() for h in header], reader)
+                names = [h.strip() for h in header]
+                narrow: list[str] = []
+                if errors == "strict":
+                    rest, read = _narrow_lines(fh, len(names), narrow)
+                    # The new reader counts lines from 1 again.
+                    skipped = reader.line_num + read
+                    reader = csv.reader(chain(rest, fh))
+                return cls(names, _columns(reader, len(names), narrow))
             except csv.Error as e:
-                raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+                raise DataError(f"{path}: line {skipped + reader.line_num}: {e}") from None
+
+
+def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> list[Sequence[str]]:
+    """The columns of the stripped cells of rows, after the narrow blocks
+    already read, whose one-character cells narrow holds joined in row
+    order. Each row's width is checked as the row is reached, so a ragged
+    row is reported before anything that iterating past it would raise.
+    Rows are taken READ_BLOCK at a time, so that the work is one C-level
+    step per block, or per column and block, not one Python step per cell.
+
+    While every block read is narrow, each is kept as the string of its
+    cells joined in row order. A block is narrow when its joined cells are
+    one character per cell, none of them empty, and none a character
+    str.strip removes; then every cell is one character that stripping
+    keeps, and column j of the table is every width-th character of the
+    joined blocks, from character j. The first block that is not narrow
+    turns the narrow prefix into list columns, and it and every later block
+    are transposed into them. A column's block none of whose cells holds
+    whitespace is taken as read, since str.strip would return every cell
+    unchanged. Columns are probed only when the block's first row holds no
+    whitespace, so that a padded file, whose first row shows it, pays one
+    row's probe per block."""
+
+    def checked() -> Iterator[Sequence[str]]:
+        for row in rows:
+            if len(row) != width:
+                raise DataError(f"row has {len(row)} cells, expected {width}")
+            yield row
+
+    cols: list[list[str]] = [[] for _ in range(width)]
+    blocks = checked()
+    kept: list[str] | None = narrow
+    while block := list(islice(blocks, READ_BLOCK)):
+        if kept is not None:
+            flat = list(chain.from_iterable(block))
+            joined = "".join(flat)
+            if len(joined) == len(flat) and "" not in flat and _blank_free(joined):
+                kept.append(joined)
+                continue
+            if kept:
+                cols = [list(c) for c in _narrow_columns(kept, width)]
+            kept = None
+        probe = _blank_free("".join(block[0]))
+        for c, cells in zip(cols, zip(*block)):
+            plain = probe and _blank_free("".join(cells))
+            c.extend(cells if plain else map(str.strip, cells))
+    if kept:
+        return _narrow_columns(kept, width)
+    return cols
+
+
+def _narrow_lines(lines: Iterator[str], width: int, narrow: list[str]) -> tuple[list[str], int]:
+    """Read lines READ_BLOCK at a time while each block is narrow,
+    appending its cells, joined in row order, to narrow. Returns the lines
+    of the first block that is not ([] at the end of the file) and the
+    number of lines read before it.
+
+    A block is narrow when, with each CRLF turned into LF and an LF added
+    to a last line that has none, its odd characters are exactly width - 1
+    commas and an LF per line, and its even characters, the cells, hold no
+    quote, comma, NUL (which the csv module of Python 3.10 rejects) or
+    character str.strip removes. The text then ends at its last separator,
+    since a further character would be its final LF as a cell. Lines end
+    only at CR, LF or CRLF, so each line is one row of the pattern, which
+    the csv module reads as its width one-character cells: the cells
+    _columns would keep. Any other block is left to the csv module."""
+    separators = ("," * (width - 1) + "\n") * READ_BLOCK
+    read = 0
+    while block := list(islice(lines, READ_BLOCK)):
+        text = "".join(block).replace("\r\n", "\n")
+        if not text.endswith("\n"):
+            text += "\n"
+        cells = text[::2]
+        if not (
+            text[1::2] == separators[: width * len(block)]
+            and '"' not in cells
+            and "," not in cells
+            and "\0" not in cells
+            and _blank_free(cells)
+        ):
+            return block, read
+        narrow.append(cells)
+        read += len(block)
+    return [], read
 
 
 def _narrow_columns(blocks: list[str], width: int) -> list[str]:

@@ -93,16 +93,6 @@ def tic_tac_toe() -> tuple[Table, dict[str, str]]:
     return Table.from_rows(names, rows), schema
 
 
-def table_three_tic_tac_toe_rules(feature_names: list[str]) -> list[tuple[int, ...]]:
-    """The eight three-literal rules 'x fills a line', as feature indices."""
-    idx = {name: j for j, name in enumerate(feature_names)}
-    rules = []
-    for line in TTT_LINES:
-        feats = tuple(sorted(idx[f"{TTT_CELLS[i]} = x"] for i in line))
-        rules.append(feats)
-    return rules
-
-
 def load_mushroom(path: str) -> tuple[Table, dict[str, str]]:
     """Read the classic mushroom file: class,cap-shape,...,habitat."""
     rows = []

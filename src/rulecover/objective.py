@@ -33,7 +33,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Iterator
 
-from .bits import bit_indices, intersect_all
+from .bits import intersect_all
 from .dataset import BinaryDataset
 
 TOL = 1e-12
@@ -197,28 +197,12 @@ class RuleSet:
     def n_literals(self) -> int:
         return sum(len(r) for r in self.rules)
 
-    def cover_counts(self, n: int) -> list[int]:
-        counts = [0] * n
-        for r in self.rules:
-            for i in bit_indices(r.coverage):
-                counts[i] += 1
-        return counts
-
 
 def ruleset_from_features(
     feature_sets: Iterable[Iterable[int]], data: BinaryDataset
 ) -> RuleSet:
     """Rebuild a rule set's coverage against another dataset's columns."""
     return RuleSet(Rule.build(fs, data) for fs in feature_sets)
-
-
-def pointwise_loss(yhat: int, y: int, h: Hyperparams) -> float:
-    """Per-sample loss given the covering-rule count and true label."""
-    if y == 0:
-        return h.beta0 * yhat
-    if yhat <= 1:
-        return h.beta1 * (1 - yhat)
-    return h.beta2 * (yhat - 1)
 
 
 def rule_cost(rule: Rule, data: BinaryDataset, h: Hyperparams) -> float:

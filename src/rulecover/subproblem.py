@@ -93,7 +93,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from . import exact_oracle
-from .bits import bit_indices, intersect_all, plan_counts
+from .bits import intersect_all, plan_counts
 from .dataset import BinaryDataset
 from .objective import TOL, ConfigError, Hyperparams, RuleSet
 
@@ -319,17 +319,6 @@ class SubproblemInstance:
             pw = self.pos_weight
             self._pos_ub = [pw * kept for kept in self.uncovered_counts]
         return self._pos_ub
-
-    def sample_weights(self) -> list[float]:
-        out = [0.0] * self.n
-        for mask, wt in (
-            (self.uncovered_pos, self.pos_weight),
-            (self.covered_pos, -self.beta2),
-            (self.negatives, -self.beta0),
-        ):
-            for i in bit_indices(mask):
-                out[i] = wt
-        return out
 
     def w_full_loo(self) -> list[float]:
         """w(j | all other features) for every j, cached; used by one upper

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rulecover.dataset import BINARY, CATEGORICAL, LABEL, NUMERIC, BinaryDataset, Table
+from rulecover.datasets import TTT_CELLS, TTT_LINES
 from rulecover.objective import Hyperparams, Rule, RuleSet
 from rulecover.subproblem import ExclusionCoverage, build_instance
 
@@ -82,9 +83,58 @@ def random_rule_features(rng: random.Random, d: int, k_max: int = 4) -> tuple[in
     return tuple(sorted(rng.sample(range(d), k)))
 
 
+def bit_indices(x: int):
+    """Yield set bit positions in ascending order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def sample_weights(inst) -> list[float]:
+    """The weight of each sample in the instance's rule value."""
+    out = [0.0] * inst.n
+    for mask, wt in (
+        (inst.uncovered_pos, inst.pos_weight),
+        (inst.covered_pos, -inst.beta2),
+        (inst.negatives, -inst.beta0),
+    ):
+        for i in bit_indices(mask):
+            out[i] = wt
+    return out
+
+
+def cover_counts(S: RuleSet, n: int) -> list[int]:
+    """The number of rules of S that cover each of n samples."""
+    counts = [0] * n
+    for r in S.rules:
+        for i in bit_indices(r.coverage):
+            counts[i] += 1
+    return counts
+
+
+def pointwise_loss(yhat: int, y: int, h: Hyperparams) -> float:
+    """Per-sample loss given the covering-rule count and true label."""
+    if y == 0:
+        return h.beta0 * yhat
+    if yhat <= 1:
+        return h.beta1 * (1 - yhat)
+    return h.beta2 * (yhat - 1)
+
+
+def table_three_tic_tac_toe_rules(feature_names: list[str]) -> list[tuple[int, ...]]:
+    """The eight three-literal rules 'x fills a line', as feature indices."""
+    idx = {name: j for j, name in enumerate(feature_names)}
+    rules = []
+    for line in TTT_LINES:
+        feats = tuple(sorted(idx[f"{TTT_CELLS[i]} = x"] for i in line))
+        rules.append(feats)
+    return rules
+
+
 def ref_rule_value(features, inst) -> float:
     """Slow v(R): per-sample weights against an explicit subset check."""
-    weights = inst.sample_weights()
+    weights = sample_weights(inst)
     total = -inst.lam * len(features)
     for i in range(inst.n):
         if all(inst.columns[j] >> i & 1 for j in features):

@@ -2,7 +2,8 @@
 
 import random
 
-from rulecover.bits import all_ones, bit_indices, intersect_all, pack_bools, pack_codes
+from conftest import bit_indices
+from rulecover.bits import all_ones, intersect_all, pack_bools, pack_codes
 
 
 def test_all_ones_small_values():

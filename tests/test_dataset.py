@@ -7,7 +7,6 @@ import warnings
 import pytest
 
 from conftest import random_table
-from rulecover.bits import bit_indices
 from rulecover.dataset import (
     BINARY,
     CATEGORICAL,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import MUSHROOM_PATH, needs_mushroom
+from conftest import MUSHROOM_PATH, needs_mushroom, table_three_tic_tac_toe_rules
 from rulecover.dataset import binarize
 from rulecover.datasets import (
     MUSHROOM_COLUMNS,
@@ -12,7 +12,6 @@ from rulecover.datasets import (
     TTT_LINES,
     load_mushroom,
     planted_rules_table,
-    table_three_tic_tac_toe_rules,
     tic_tac_toe,
 )
 from rulecover.learner import predict_dataset

@@ -8,9 +8,14 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import plain_local_search, random_dataset, random_hyperparams
+from conftest import (
+    plain_local_search,
+    random_dataset,
+    random_hyperparams,
+    table_three_tic_tac_toe_rules,
+)
 from rulecover.dataset import BinaryDataset, binarize
-from rulecover.datasets import table_three_tic_tac_toe_rules, tic_tac_toe
+from rulecover.datasets import tic_tac_toe
 from rulecover.exact_oracle import brute_force_ruleset_opt
 from rulecover import exact_oracle, learner
 from rulecover.learner import (

@@ -6,7 +6,14 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import random_dataset, random_hyperparams, random_rule_features
+from conftest import (
+    cover_counts,
+    pointwise_loss,
+    random_dataset,
+    random_hyperparams,
+    random_rule_features,
+    table_three_tic_tac_toe_rules,
+)
 from rulecover.objective import (
     ConfigError,
     Hyperparams,
@@ -16,13 +23,12 @@ from rulecover.objective import (
     coverage_gain,
     loss,
     metrics,
-    pointwise_loss,
     preset,
     profit,
     rule_cost,
     ruleset_from_features,
 )
-from rulecover.datasets import table_three_tic_tac_toe_rules, tic_tac_toe
+from rulecover.datasets import tic_tac_toe
 from rulecover.dataset import binarize
 
 
@@ -152,7 +158,7 @@ def test_ruleset_incremental_masks_match_recompute():
                 continue
             added.add(feats)
             S.add(Rule.build(feats, data))
-        counts = S.cover_counts(data.n)
+        counts = cover_counts(S, data.n)
         covered = sum(1 << i for i, c in enumerate(counts) if c >= 1)
         overlap = sum(1 << i for i, c in enumerate(counts) if c >= 2)
         assert S.covered == covered
@@ -160,7 +166,7 @@ def test_ruleset_incremental_masks_match_recompute():
         if len(S) > 1:
             removed = S.rules[0]
             S.remove(removed)
-            counts = S.cover_counts(data.n)
+            counts = cover_counts(S, data.n)
             assert S.covered == sum(1 << i for i, c in enumerate(counts) if c >= 1)
             assert S.overlap == sum(1 << i for i, c in enumerate(counts) if c >= 2)
 

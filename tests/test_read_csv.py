@@ -5,6 +5,11 @@ column blocks that hold whitespace, or, while every cell is one character
 that stripping keeps, holds each column as a str; the frozen copy below is
 the per-cell loop it replaced. Both must give identical cells, and the
 same error at the same row, at every row count around a block boundary.
+read_csv reads the lines of a one-character file as raw text, READ_BLOCK
+lines at a time, and leaves the csv module only the header and whatever
+follows the first block that is not narrow; it must read every file as the
+frozen reader does, with str columns exactly when every cell is one
+character that stripping keeps.
 """
 
 import csv
@@ -38,7 +43,10 @@ def frozen_read_csv(path):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        return frozen_from_rows([h.strip() for h in header], reader)
+        try:
+            return frozen_from_rows([h.strip() for h in header], reader)
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
 
 
 def outcome(read, *args):
@@ -299,13 +307,34 @@ def test_each_whitespace_character_alone_in_a_cell_is_stripped(tmp_path, at):
 
 
 def test_select_rows_keeps_str_columns():
+    # No row and one row are picked apart from two or more, which
+    # operator.itemgetter gathers; the cells of the list table are several
+    # characters long, so a cell taken for a sequence of cells would show.
     names = ["a", "b", "c"]
     narrow = Table.from_rows(names, narrow_rows(3 * B))
-    listed = Table(names, [list(c) for c in narrow.columns])
-    for rows in ([5, 0, 0, 3 * B - 1], [], range(3 * B), [7]):
+    listed = Table(names, [[f"{cell}{i}" for i, cell in enumerate(c)] for c in narrow.columns])
+    for rows in ([5, 0, 0, 3 * B - 1], [], range(3 * B), [7], [2, 2]):
         picked = narrow.select_rows(rows)
         assert is_narrow(picked)
-        assert [list(c) for c in picked.columns] == listed.select_rows(rows).columns
+        assert [list(c) for c in picked.columns] == [[c[i] for i in rows] for c in narrow.columns]
+        picked = listed.select_rows(rows)
+        assert picked.columns == [[c[i] for i in rows] for c in listed.columns]
+        assert all(type(c) is list for c in picked.columns)
+
+
+def test_tables_with_the_same_cells_are_equal_in_either_column_form():
+    names = ["a", "b", "c"]
+    rows = narrow_rows(2 * B + 1)
+    narrow = Table.from_rows(names, rows)
+    assert is_narrow(narrow)
+    listed = Table(list(names), [list(c) for c in narrow.columns])
+    assert narrow == listed and listed == narrow
+    assert narrow == frozen_from_rows(names, rows)
+    other = Table(list(names), [list(c) for c in narrow.columns])
+    other.columns[1][B] = "z" if other.columns[1][B] != "z" else "y"
+    assert narrow != other and other != narrow
+    assert narrow != Table(["a", "b", "d"], list(narrow.columns))
+    assert narrow != narrow.columns
 
 
 def test_one_character_tables_are_held_at_one_byte_per_cell(tmp_path):
@@ -326,3 +355,126 @@ def test_one_character_tables_are_held_at_one_byte_per_cell(tmp_path):
         tracemalloc.stop()
     assert peak < 5 * n * width
     assert table.n == n and is_narrow(table)
+
+
+# The raw-line path of read_csv ---------------------------------------------
+
+LINE_CELLS = "01xoé☃b"
+
+
+def line_rows(n, width=3):
+    """n lines of one-character cells that the csv module reads unquoted."""
+    return [",".join(LINE_CELLS[(i + 2 * k) % len(LINE_CELLS)] for k in range(width))
+            for i in range(n)]
+
+
+def write_lines(path, lines, end="\r\n", last=True, header="a,b,c"):
+    text = end.join([header] + lines) + (end if last else "")
+    path.write_bytes(text.encode())
+
+
+def same_read(path):
+    """Assert that read_csv reads path as the frozen reader does, with str
+    columns exactly when every cell the csv module reads is one character
+    that str.strip keeps; return the outcome."""
+    expected = outcome(frozen_read_csv, str(path))
+    assert outcome(Table.read_csv, str(path)) == expected
+    if expected[0] is not DataError:
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [c for row in list(csv.reader(fh))[1:] for c in row]
+        one_character = bool(cells) and all(len(c) == 1 and not c.isspace() for c in cells)
+        assert is_narrow(Table.read_csv(str(path))) == one_character
+    return expected
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 2])
+@pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
+@pytest.mark.parametrize("last", [True, False])
+def test_line_endings_and_last_line(tmp_path, n, end, last):
+    # CRLF and LF files, and bare "\r" endings, which the csv module reads
+    # as line breaks; the last line with and without its ending.
+    path = tmp_path / "t.csv"
+    write_lines(path, line_rows(n), end, last)
+    names, cols = same_read(path)
+    assert names == ["a", "b", "c"] and len(cols[0]) == n
+
+
+@pytest.mark.parametrize("n", [1, B, 2 * B + 1])
+def test_one_column(tmp_path, n):
+    path = tmp_path / "t.csv"
+    write_lines(path, line_rows(n, width=1), header="a")
+    assert same_read(path)[0] == ["a"]
+    write_lines(path, line_rows(n, width=1), header="a", last=False)
+    assert same_read(path)[0] == ["a"]
+
+
+@pytest.mark.parametrize("at", [0, B - 1, B, 2 * B + 1, 3 * B - 1])
+@pytest.mark.parametrize("line", [
+    "",  # a blank line: the csv module reads a row of no cells
+    '"a",b,c', '",",b,c', 'x,"""",c',  # quoted one-character cells
+    '",b,c', 'x,",c', 'x,b,"', ",,,,,",  # a bare quote or comma as a cell
+    "x,\0,c",  # a NUL cell: the csv module of 3.10 rejects it, 3.11 reads it
+    "x,yz,c", "x,,c", "x, ,c", "x,b,c,d", "x,b",
+    "x,bcd",  # two cells in the length of three
+])
+def test_a_line_of_another_shape_after_narrow_blocks(tmp_path, at, line):
+    # The line may start a block, end one, or sit after two narrow blocks;
+    # the same read follows whether the table stays one-character or not.
+    lines = line_rows(3 * B)
+    lines[at] = line
+    path = tmp_path / "t.csv"
+    write_lines(path, lines)
+    same_read(path)
+    write_lines(path, lines, "\n", last=False)
+    same_read(path)
+
+
+def test_a_blank_line_at_the_end(tmp_path):
+    path = tmp_path / "t.csv"
+    for n in (1, B - 1, B, 2 * B):
+        write_lines(path, line_rows(n) + [""])
+        assert same_read(path) == (DataError, "row has 0 cells, expected 3")
+
+
+@pytest.mark.parametrize("at", [B - 1, B, 2 * B + 1])
+def test_an_unreadable_line_after_narrow_blocks_names_its_line(tmp_path, at):
+    lines = line_rows(3 * B)
+    lines[at] = "x," + "y" * (csv.field_size_limit() + 1) + ",z"
+    path = tmp_path / "t.csv"
+    write_lines(path, lines)
+    error, message = same_read(path)
+    assert error is DataError
+    assert message.startswith(f"{path}: line {at + 2}: field larger than")
+    # A quoted line break in a header spans a line the rows' count starts
+    # after.
+    write_lines(path, lines, header='a,"b\r\nb",c')
+    assert same_read(path)[1].startswith(f"{path}: line {at + 3}: field larger than")
+
+
+@pytest.mark.parametrize("at", [B - 1, B, 2 * B + 1])
+def test_bytes_that_are_not_utf8_after_narrow_blocks(tmp_path, at):
+    lines = [line.encode() for line in line_rows(3 * B)]
+    lines[at] = b"x,\xff,c"
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\r\n".join([b"a,b,c"] + lines) + b"\r\n")
+    assert outcome(Table.read_csv, str(path)) == (
+        DataError, f"{path}: line {at + 2}: bytes that are not UTF-8")
+    # A ragged row before them is reported first.
+    lines[at - 1] = b"x,y"
+    path.write_bytes(b"\r\n".join([b"a,b,c"] + lines) + b"\r\n")
+    assert outcome(Table.read_csv, str(path)) == (DataError, "row has 2 cells, expected 3")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+@pytest.mark.parametrize("last", [True, False])
+def test_csv_parses_only_the_header_of_a_one_character_file(tmp_path, monkeypatch, end, last):
+    # A narrow file, CRLF as csv.writer writes it or LF, with or without a
+    # last line ending, must not fall back to the csv module silently.
+    path = tmp_path / "t.csv"
+    write_lines(path, line_rows(3 * B + 2), end, last)
+    parsed = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines: reader(counting(lines, parsed)))
+    table = Table.read_csv(str(path))
+    assert len(parsed) == 1
+    assert is_narrow(table) and table.n == 3 * B + 2

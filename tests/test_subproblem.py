@@ -38,7 +38,7 @@ def test_build_instance_weights_at_start():
     rng = random.Random(1)
     for _ in range(50):
         inst, data, h, S, alpha = random_instance(rng)
-        weights = inst.sample_weights()
+        weights = conftest.sample_weights(inst)
         pw = alpha * (h.beta1 + h.beta2) - h.beta2
         for i in range(data.n):
             if inst.uncovered_pos >> i & 1:
