@@ -63,14 +63,16 @@ if TYPE_CHECKING:
 def train(data: BinaryDataset, cfg: TrainConfig) -> tuple[RuleSet, TrainReport]:
     """learner.train, imported on call. This name is the bench's seam:
     bench/tracing.py swaps its wrapper in here. The bench change that wraps
-    each layer on its defining module (ROADMAP item 6.1) deletes it."""
+    each layer on its defining module (ROADMAP item 6, steps 2 and 3)
+    deletes it."""
     from . import learner
     return learner.train(data, cfg)
 
 
 def cross_validate(*args, **kwargs) -> list[ConfigResult]:
     """evaluation.cross_validate, imported on call. Like train, this name is
-    the bench's seam, and the bench change of ROADMAP item 6.1 deletes it."""
+    the bench's seam, and the bench change of ROADMAP item 6, steps 2 and
+    3, deletes it."""
     from . import evaluation
     return evaluation.cross_validate(*args, **kwargs)
 

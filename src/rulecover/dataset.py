@@ -62,11 +62,9 @@ NUMERIC_KINDS = ("numeric-le", "numeric-gt")
 # last value is left for a cell past every cut or equal to no category.
 CODE_WINDOW = 255
 # Rows that _columns transposes, and lines that _narrow_lines reads, at
-# once. Larger blocks take fewer steps but hold more rows at a time. The
-# peak resident set of the wide bench train (2,000 rows of 1,025 cells,
-# Python 3.11, 3 runs each) was 35.1-35.2 MB at 32 rows against 35.3-35.4
-# MB for the per-cell loop, and 36.5 MB at 16 and at 64 rows: allocator
-# layout, so re-measure on change.
+# once. Larger blocks take fewer steps but hold more rows at a time; the
+# resident peak follows allocator layout more than block size, so
+# re-measure on change.
 READ_BLOCK = 32
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -84,12 +82,12 @@ class Table:
     """Column-major table of raw string cells.
 
     A column is a list of its cells, or a str whose character i is cell i.
-    Table.from_rows gives every column the str form when every cell of the
-    table is exactly one character other than whitespace, as in the
-    tic-tac-toe and mushroom tables: one byte per ASCII cell instead of an
-    8-byte list slot. Index or iterate a column to
-    read its cells; `x in column` tests for a substring of a str column, and
-    a str column holds no empty cell. Tables are equal when their names and
+    Table.read_csv gives every column the str form when there is at least
+    one line after the header and every such line is unquoted one-character
+    cells (_narrow_lines), as in the tic-tac-toe and mushroom files: one
+    byte per ASCII cell instead of an 8-byte list slot. Index or iterate a
+    column to read its cells; `x in column` tests for a substring of a str
+    column, and a str column holds no empty cell. Tables are equal when their names and
     cells are, whatever form their columns take."""
 
     names: list[str]
@@ -131,7 +129,8 @@ class Table:
 
     @classmethod
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence[str]]) -> "Table":
-        """The table of the stripped cells of rows, read as _columns says."""
+        """The table of the stripped cells of rows, in list columns, read as
+        _columns says."""
         return cls(list(names), _columns(rows, len(names), []))
 
     @classmethod
@@ -144,8 +143,10 @@ class Table:
 
         While every cell is one character, the rows after the header are
         read as raw lines, READ_BLOCK at a time (_narrow_lines), and the csv
-        module parses only the header; from the first block that is not
-        narrow on, it parses the rest of the file."""
+        module parses only the header. A file read to its end that way is
+        held as str columns; from the first block that is not narrow on, the
+        csv module parses the rest of the file, and the table is held as
+        list columns."""
         try:
             return cls._read_csv(path, "strict")
         except UnicodeDecodeError:
@@ -169,6 +170,8 @@ class Table:
                 narrow: list[str] = []
                 if errors == "strict":
                     rest, read = _narrow_lines(fh, len(names), narrow)
+                    if narrow and not rest:
+                        return cls(names, _narrow_columns(narrow, len(names)))
                     # The new reader counts lines from 1 again.
                     skipped = reader.line_num + read
                     reader = csv.reader(chain(rest, fh))
@@ -177,26 +180,17 @@ class Table:
                 raise DataError(f"{path}: line {skipped + reader.line_num}: {e}") from None
 
 
-def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> list[Sequence[str]]:
-    """The columns of the stripped cells of rows, after the narrow blocks
-    already read, whose one-character cells narrow holds joined in row
-    order. Each row's width is checked as the row is reached, so a ragged
-    row is reported before anything that iterating past it would raise.
-    Rows are taken READ_BLOCK at a time, so that the work is one C-level
-    step per block, or per column and block, not one Python step per cell.
-
-    While every block read is narrow, each is kept as the string of its
-    cells joined in row order. A block is narrow when its joined cells are
-    one character per cell, none of them empty, and none a character
-    str.strip removes; then every cell is one character that stripping
-    keeps, and column j of the table is every width-th character of the
-    joined blocks, from character j. The first block that is not narrow
-    turns the narrow prefix into list columns, and it and every later block
-    are transposed into them. A column's block none of whose cells holds
-    whitespace is taken as read, since str.strip would return every cell
-    unchanged. Columns are probed only when the block's first row holds no
-    whitespace, so that a padded file, whose first row shows it, pays one
-    row's probe per block."""
+def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> list[list[str]]:
+    """The list columns of the cells of the narrow blocks already read,
+    whose one-character cells narrow holds joined in row order, followed by
+    the stripped cells of rows. Each row's width is checked as the row is
+    reached, so a ragged row is reported before anything that iterating past
+    it would raise. Rows are then transposed READ_BLOCK at a time: one
+    C-level step per column and block, not one Python step per cell. A
+    column's block none of whose cells holds whitespace is taken as read,
+    since str.strip would return every cell unchanged. Columns are probed
+    only when the block's first row holds no whitespace, so that a padded
+    file, whose first row shows it, pays one row's probe per block."""
 
     def checked() -> Iterator[Sequence[str]]:
         for row in rows:
@@ -204,25 +198,13 @@ def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> li
                 raise DataError(f"row has {len(row)} cells, expected {width}")
             yield row
 
-    cols: list[list[str]] = [[] for _ in range(width)]
+    cols = [list(c) for c in _narrow_columns(narrow, width)]
     blocks = checked()
-    kept: list[str] | None = narrow
     while block := list(islice(blocks, READ_BLOCK)):
-        if kept is not None:
-            flat = list(chain.from_iterable(block))
-            joined = "".join(flat)
-            if len(joined) == len(flat) and "" not in flat and _blank_free(joined):
-                kept.append(joined)
-                continue
-            if kept:
-                cols = [list(c) for c in _narrow_columns(kept, width)]
-            kept = None
         probe = _blank_free("".join(block[0]))
         for c, cells in zip(cols, zip(*block)):
             plain = probe and _blank_free("".join(cells))
             c.extend(cells if plain else map(str.strip, cells))
-    if kept:
-        return _narrow_columns(kept, width)
     return cols
 
 
@@ -239,8 +221,8 @@ def _narrow_lines(lines: Iterator[str], width: int, narrow: list[str]) -> tuple[
     character str.strip removes. The text then ends at its last separator,
     since a further character would be its final LF as a cell. Lines end
     only at CR, LF or CRLF, so each line is one row of the pattern, which
-    the csv module reads as its width one-character cells: the cells
-    _columns would keep. Any other block is left to the csv module."""
+    the csv module reads as its width one-character cells, each of which
+    stripping keeps. Any other block is left to the csv module."""
     separators = ("," * (width - 1) + "\n") * READ_BLOCK
     read = 0
     while block := list(islice(lines, READ_BLOCK)):

@@ -209,9 +209,9 @@ def _dataset_or_error(encode, *args):
 
 @pytest.mark.parametrize("bad", [None, ("b", "2"), ("v", "x"), ("c", " "), ("y", "2")])
 def test_str_columns_encode_like_the_same_cells_in_lists(bad):
-    # Table.from_rows holds a table whose every cell is one character as
-    # str columns. binarize and apply_descriptors must give the dataset, or
-    # the error, that the same cells give in list columns.
+    # Table.read_csv holds a file of one-character cells as str columns.
+    # binarize and apply_descriptors must give the dataset, or the error,
+    # that the same cells give in list columns.
     names = ["c", "v", "b", "y"]
     schema = {"c": CATEGORICAL, "v": NUMERIC, "b": BINARY, "y": LABEL}
     alphabet = {"c": "abé☃", "v": "0123456789", "b": "01", "y": "01"}

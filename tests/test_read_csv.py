@@ -1,15 +1,15 @@
 """Table.read_csv and Table.from_rows against a frozen per-cell reader.
 
-from_rows transposes rows in blocks of READ_BLOCK and strips only the
-column blocks that hold whitespace, or, while every cell is one character
-that stripping keeps, holds each column as a str; the frozen copy below is
-the per-cell loop it replaced. Both must give identical cells, and the
+from_rows transposes rows in blocks of READ_BLOCK into list columns and
+strips only the column blocks that hold whitespace; the frozen copy below
+is the per-cell loop it replaced. Both must give identical cells, and the
 same error at the same row, at every row count around a block boundary.
 read_csv reads the lines of a one-character file as raw text, READ_BLOCK
 lines at a time, and leaves the csv module only the header and whatever
 follows the first block that is not narrow; it must read every file as the
-frozen reader does, with str columns exactly when every cell is one
-character that stripping keeps.
+frozen reader does, with str columns exactly when narrow_file, a
+line-by-line reference, says the file is narrow, and list columns
+otherwise.
 """
 
 import csv
@@ -77,7 +77,7 @@ def narrow_rows(n, width=3):
 
 
 def is_narrow(table):
-    """Whether from_rows held the table as str columns."""
+    """Whether the table holds str columns; False when it holds lists."""
     kinds = {type(c) for c in table.columns}
     assert len(kinds) == 1
     return kinds == {str}
@@ -110,8 +110,7 @@ def test_read_csv_matches_per_cell_reader(tmp_path, n):
 
 @pytest.mark.parametrize("bad", [0, B - 1, B, 2 * B + 3])
 def test_ragged_row_is_reported_at_the_same_row(tmp_path, bad):
-    # In padded rows, and in one-character rows, whose blocks before the
-    # ragged row are held as str columns.
+    # In padded rows, and in one-character rows.
     for make in (padded_rows, narrow_rows):
         rows = make(3 * B + 2)
         rows[bad] = rows[bad][:2]
@@ -159,7 +158,7 @@ def test_header_only_and_empty_files(tmp_path):
 
 def test_bytes_that_are_not_utf8_are_reported_at_their_line(tmp_path):
     path = tmp_path / "t.csv"
-    # Cells of one digit, held as str columns until the bad line, and of
+    # Cells of one digit, read as raw lines until the bad bytes, and of
     # several digits.
     for modulus in (10, 10_000):
         lines = [b"a,b"] + [b"%d,%d" % (i % modulus, i % modulus) for i in range(2000)]
@@ -264,19 +263,19 @@ def test_one_character_tables_match_per_cell_reader(tmp_path, n):
     rows = narrow_rows(n)
     expected = outcome(frozen_from_rows, names, rows)
     assert outcome(Table.from_rows, names, rows) == expected
-    assert is_narrow(Table.from_rows(names, rows))
+    assert not is_narrow(Table.from_rows(names, rows))
     path = tmp_path / "t.csv"
     write(path, rows)
-    assert outcome(Table.read_csv, str(path)) == expected
-    assert is_narrow(Table.read_csv(str(path)))
+    assert same_read(path) == expected
 
 
 @pytest.mark.parametrize("at", [0, B - 1, 2 * B + 1])
 @pytest.mark.parametrize("row", [["", "bc", "d"], ["x", "yz", ""], ["a", "-2.353", "c"],
                                  [" a", "b", "c"], ["a", "b", "c "]])
 def test_a_row_of_other_cells_turns_the_table_to_lists(tmp_path, at, row):
-    # The empty and two-character cells join to one character per cell; at
-    # 2 * B + 1 the row follows two blocks held as str columns.
+    # Empty and two-character cells whose lengths add up to one per cell, a
+    # number and padded cells; at 2 * B + 1 the row follows two blocks of
+    # one-character cells.
     names = ["a", "b", "c"]
     rows = narrow_rows(3 * B)
     rows[at] = row
@@ -285,7 +284,7 @@ def test_a_row_of_other_cells_turns_the_table_to_lists(tmp_path, at, row):
     assert not is_narrow(Table.from_rows(names, rows))
     path = tmp_path / "t.csv"
     write(path, rows)
-    assert outcome(Table.read_csv, str(path)) == expected
+    assert same_read(path) == expected
 
 
 @pytest.mark.parametrize("at", [0, B + 1])
@@ -311,7 +310,7 @@ def test_select_rows_keeps_str_columns():
     # operator.itemgetter gathers; the cells of the list table are several
     # characters long, so a cell taken for a sequence of cells would show.
     names = ["a", "b", "c"]
-    narrow = Table.from_rows(names, narrow_rows(3 * B))
+    narrow = Table(names, ["".join(c) for c in zip(*narrow_rows(3 * B))])
     listed = Table(names, [[f"{cell}{i}" for i, cell in enumerate(c)] for c in narrow.columns])
     for rows in ([5, 0, 0, 3 * B - 1], [], range(3 * B), [7], [2, 2]):
         picked = narrow.select_rows(rows)
@@ -322,14 +321,15 @@ def test_select_rows_keeps_str_columns():
         assert all(type(c) is list for c in picked.columns)
 
 
-def test_tables_with_the_same_cells_are_equal_in_either_column_form():
+def test_tables_with_the_same_cells_are_equal_in_either_column_form(tmp_path):
     names = ["a", "b", "c"]
-    rows = narrow_rows(2 * B + 1)
-    narrow = Table.from_rows(names, rows)
+    path = tmp_path / "t.csv"
+    write_lines(path, line_rows(2 * B + 1))
+    narrow = Table.read_csv(str(path))
     assert is_narrow(narrow)
     listed = Table(list(names), [list(c) for c in narrow.columns])
     assert narrow == listed and listed == narrow
-    assert narrow == frozen_from_rows(names, rows)
+    assert narrow == frozen_read_csv(str(path))
     other = Table(list(names), [list(c) for c in narrow.columns])
     other.columns[1][B] = "z" if other.columns[1][B] != "z" else "y"
     assert narrow != other and other != narrow
@@ -373,17 +373,32 @@ def write_lines(path, lines, end="\r\n", last=True, header="a,b,c"):
     path.write_bytes(text.encode())
 
 
+def narrow_file(path):
+    """Whether there is at least one line after the header, and each is
+    `width` one-character cells joined by commas, ending in CRLF or LF or,
+    the last line only, in nothing; and no cell is a quote, comma, NUL or
+    a character for which str.isspace holds. A line ending in a bare CR
+    keeps it in its last cell."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        lines = list(fh)
+    rows = [(line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")).split(",")
+            for line in lines]
+    return bool(rows) and all(
+        len(row) == width
+        and all(len(c) == 1 and c not in '",\0' and not c.isspace() for c in row)
+        for row in rows
+    )
+
+
 def same_read(path):
     """Assert that read_csv reads path as the frozen reader does, with str
-    columns exactly when every cell the csv module reads is one character
-    that str.strip keeps; return the outcome."""
+    columns exactly when narrow_file holds; return the outcome."""
     expected = outcome(frozen_read_csv, str(path))
     assert outcome(Table.read_csv, str(path)) == expected
     if expected[0] is not DataError:
-        with open(path, newline="", encoding="utf-8") as fh:
-            cells = [c for row in list(csv.reader(fh))[1:] for c in row]
-        one_character = bool(cells) and all(len(c) == 1 and not c.isspace() for c in cells)
-        assert is_narrow(Table.read_csv(str(path))) == one_character
+        assert is_narrow(Table.read_csv(str(path))) == narrow_file(path)
     return expected
 
 
