@@ -85,10 +85,13 @@ class Table:
     Table.read_csv gives every column the str form when there is at least
     one line after the header and every such line is unquoted one-character
     cells (_narrow_lines), as in the tic-tac-toe and mushroom files: one
-    byte per ASCII cell instead of an 8-byte list slot. Index or iterate a
-    column to read its cells; `x in column` tests for a substring of a str
-    column, and a str column holds no empty cell. Tables are equal when their names and
-    cells are, whatever form their columns take."""
+    byte per ASCII cell instead of an 8-byte list slot. In the list columns
+    that read_csv and from_rows build, the equal cells of a column whose
+    cells repeat are one object (_columns), so each costs its slot alone.
+    Index or iterate a column to read its cells; `x in column` tests for a
+    substring of a str column, and a str column holds no empty cell. Tables
+    are equal when their names and cells are, whatever form their columns
+    take."""
 
     names: list[str]
     columns: list[Sequence[str]]
@@ -190,7 +193,15 @@ def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> li
     column's block none of whose cells holds whitespace is taken as read,
     since str.strip would return every cell unchanged. Columns are probed
     only when the block's first row holds no whitespace, so that a padded
-    file, whose first row shows it, pays one row's probe per block."""
+    file, whose first row shows it, pays one row's probe per block.
+
+    Equal cells of a column are held as one object: each cell, narrow or
+    stripped, is mapped through the column's dict of the cells seen so far,
+    so a categorical column costs an 8-byte list slot per cell instead of a
+    str of about 50 bytes. A column whose dict, after a block, holds more
+    entries than half its cells stops sharing: the dict is dropped and the
+    rest of its cells are kept as read, since mostly distinct cells,
+    numbers say, would gain little and pay for the dict."""
 
     def checked() -> Iterator[Sequence[str]]:
         for row in rows:
@@ -198,13 +209,22 @@ def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> li
                 raise DataError(f"row has {len(row)} cells, expected {width}")
             yield row
 
-    cols = [list(c) for c in _narrow_columns(narrow, width)]
+    cols: list[list[str]] = [[] for _ in range(width)]
+    shared: list[dict[str, str] | None] = [{} for _ in range(width)]
+    for c, memo, cells in zip(cols, shared, _narrow_columns(narrow, width)):
+        c.extend(map(memo.setdefault, cells, cells))
     blocks = checked()
     while block := list(islice(blocks, READ_BLOCK)):
         probe = _blank_free("".join(block[0]))
-        for c, cells in zip(cols, zip(*block)):
-            plain = probe and _blank_free("".join(cells))
-            c.extend(cells if plain else map(str.strip, cells))
+        for j, (c, memo, cells) in enumerate(zip(cols, shared, zip(*block))):
+            if not (probe and _blank_free("".join(cells))):
+                cells = tuple(map(str.strip, cells))
+            if memo is None:
+                c.extend(cells)
+            else:
+                c.extend(map(memo.setdefault, cells, cells))
+                if 2 * len(memo) > len(c):
+                    shared[j] = None
     return cols
 
 

@@ -164,12 +164,28 @@ def default_grid(*, subproblem: str = "local", refine: bool = True) -> list[Trai
 FoldProgress = Callable[[int, int, float], None]
 
 
-def _run_fold(
-    args: tuple[Table, dict[str, str], str, Sequence[TrainConfig], CvPlan, int]
-) -> tuple[list[FoldResult], float]:
+# What every fold task reads: the table, schema, label column, grid and
+# plan. A worker process gets it once, from _init_worker.
+FoldInputs = tuple[Table, dict[str, str], str, Sequence[TrainConfig], CvPlan]
+_worker_inputs: FoldInputs | None = None
+
+
+def _init_worker(inputs: FoldInputs) -> None:
+    """Keep the fold inputs in this worker process, so that each task it
+    runs is sent its fold number alone."""
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_worker_fold(fold: int) -> tuple[list[FoldResult], float]:
+    """_run_fold on the inputs _init_worker kept."""
+    return _run_fold(_worker_inputs, fold)
+
+
+def _run_fold(inputs: FoldInputs, fold: int) -> tuple[list[FoldResult], float]:
     """Every grid config on one fold, in grid order, through one solve
     memo; also the seconds the fold took."""
-    table, schema, label_column, grid, plan, fold = args
+    table, schema, label_column, grid, plan = inputs
     t0 = time.monotonic()
     train_rows, test_rows = plan.fold_rows(fold)
     train_table = table.select_rows(train_rows)
@@ -232,9 +248,11 @@ def cross_validate(
     """Train/evaluate every grid config on every fold.
 
     Each fold is one task (see the module docstring); jobs > 1 runs the
-    tasks in min(jobs, n_folds) worker processes. progress, if given, is
-    called in this process as each fold finishes, in completion order.
-    Results are ordered by (config, fold) regardless of how folds complete.
+    tasks in min(jobs, n_folds) worker processes, each of which is sent the
+    table, schema, grid and plan once and then a fold number per task.
+    progress, if given, is called in this process as each fold finishes,
+    in completion order. Results are ordered by (config, fold) regardless
+    of how folds complete.
     """
     if not grid:
         raise ConfigError("grid must be nonempty")
@@ -244,9 +262,7 @@ def cross_validate(
     if len(plan.assignment) != table.n:
         raise ConfigError("fold plan does not match table size")
     _check_folds_nonempty(table, label_column, plan)
-    tasks = [
-        (table, schema, label_column, grid, plan, fold) for fold in range(plan.n_folds)
-    ]
+    inputs = (table, schema, label_column, grid, plan)
     by_fold: dict[int, list[FoldResult]] = {}
 
     def finish(fold: int, outcome: tuple[list[FoldResult], float]) -> None:
@@ -260,13 +276,17 @@ def cross_validate(
         # to the start of every command.
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=min(jobs, plan.n_folds)) as pool:
-            futures = {pool.submit(_run_fold, task): task[-1] for task in tasks}
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, plan.n_folds), initializer=_init_worker, initargs=(inputs,)
+        ) as pool:
+            futures = {
+                pool.submit(_run_worker_fold, fold): fold for fold in range(plan.n_folds)
+            }
             for future in as_completed(futures):
                 finish(futures[future], future.result())
     else:
-        for task in tasks:
-            finish(task[-1], _run_fold(task))
+        for fold in range(plan.n_folds):
+            finish(fold, _run_fold(inputs, fold))
     return [
         ConfigResult(cfg=cfg, folds=[by_fold[f][c] for f in range(plan.n_folds)])
         for c, cfg in enumerate(grid)

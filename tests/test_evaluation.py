@@ -178,6 +178,36 @@ def test_cross_validate_parallel_matches_serial():
     assert [strip_timing(r) for r in serial] == [strip_timing(r) for r in parallel]
 
 
+def test_parallel_tasks_are_sent_the_fold_alone(monkeypatch):
+    # Each worker gets the table once, from the pool's initializer; a task
+    # is its fold number, so no task pickles the table again.
+    import concurrent.futures
+
+    submitted, initargs = [], []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            initargs.append(kwargs.get("initargs"))
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args + tuple(kwargs.values()))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    rng = random.Random(5)
+    table, schema = planted_table(rng, n=40)
+    labels = [int(v) for v in table.column("y")]
+    plan = make_folds(labels, 3, seed=0)
+    grid = sweep((0.0,), (0.5,), (2,))
+    results = cross_validate(table, schema, grid, plan, jobs=2)
+    assert [f.fold for f in results[0].folds] == [0, 1, 2]
+    assert sorted(submitted) == [(0,), (1,), (2,)]
+    assert not any(isinstance(a, Table) for args in submitted for a in args)
+    [(inputs,)] = initargs
+    assert inputs[0] is table
+
+
 def noisy_mixed_table(rng, n=90):
     """Numeric, categorical and binary columns; the label is a noisy
     disjunction of two conjunctions, so fits take several rules."""

@@ -357,6 +357,51 @@ def test_one_character_tables_are_held_at_one_byte_per_cell(tmp_path):
     assert table.n == n and is_narrow(table)
 
 
+
+def read_peak(path):
+    """The table read_csv reads from path, and the tracemalloc peak of the
+    read."""
+    tracemalloc.start()
+    try:
+        table = Table.read_csv(str(path))
+        return table, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sep", [",", ", "])
+def test_repeating_cells_are_held_at_one_slot_per_cell(tmp_path, sep):
+    # Twelve categories per column: each cell is an 8-byte list slot that
+    # points at its column's one copy of the category, where a str per
+    # cell would take about 60 bytes. Padded cells are shared once stripped.
+    n, width = 20_000, 10
+    rng = random.Random(5)
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(sep.join(f"c{k}" for k in range(width)) + "\n")
+        for _ in range(n):
+            fh.write(sep.join(f"v{rng.randrange(12)}" for _ in range(width)) + "\n")
+    table, peak = read_peak(path)
+    assert peak < 12 * n * width
+    assert table.n == n and not is_narrow(table)
+    assert set(table.columns[0]) == {f"v{i}" for i in range(12)}
+
+
+def test_distinct_cells_are_held_as_read(tmp_path):
+    # Every cell is a distinct number: each column's dict is dropped after
+    # its first block, and the table holds a str and a slot per cell.
+    n, width = 20_000, 10
+    rng = random.Random(6)
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(f"c{k}" for k in range(width)) + "\n")
+        for _ in range(n):
+            fh.write(",".join(f"{rng.random():.6f}" for _ in range(width)) + "\n")
+    table, peak = read_peak(path)
+    assert peak < 70 * n * width
+    assert table.n == n and len(set(table.columns[0])) > n // 2
+
+
 # The raw-line path of read_csv ---------------------------------------------
 
 LINE_CELLS = "01xoé☃b"
@@ -493,3 +538,27 @@ def test_csv_parses_only_the_header_of_a_one_character_file(tmp_path, monkeypatc
     table = Table.read_csv(str(path))
     assert len(parsed) == 1
     assert is_narrow(table) and table.n == 3 * B + 2
+
+
+def shared_cells(table):
+    """Whether equal cells of each column are one object."""
+    return all(len(set(map(id, c))) == len(set(c)) for c in table.columns)
+
+
+@pytest.mark.parametrize("lines", [
+    [f"v{i % 5},w{i % 3} ,  x{i % 7}" for i in range(3 * B + 2)],  # plain and padded
+    [f"v{i % 5}, w{i % 3}, x{i % 7}" for i in range(3 * B + 2)],  # padded as ", "
+    # Narrow blocks of one-character cells, some not Latin-1, which str
+    # slicing makes a new object for each time, then a line that is not.
+    line_rows(2 * B) + ["☃☃,é☃,b"] + line_rows(B + 3),
+])
+def test_equal_cells_of_a_repeating_column_are_one_object(tmp_path, lines):
+    path = tmp_path / "t.csv"
+    write_lines(path, lines)
+    names, cols = same_read(path)
+    assert len(cols[0]) == len(lines)
+    table = Table.read_csv(str(path))
+    assert not is_narrow(table) and shared_cells(table)
+    rows = [line.split(",") for line in lines]
+    assert shared_cells(Table.from_rows(names, rows))
+
