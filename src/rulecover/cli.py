@@ -30,6 +30,7 @@ from .dataset import (
 )
 from .modelio import (
     HYPERPARAM_KEYS,
+    LoadedModel,
     ModelFormatError,
     hyperparams_from_json,
     hyperparams_to_json,
@@ -44,6 +45,7 @@ from .objective import (
     PRESETS,
     SUBPROBLEM_MODES,
     metrics,
+    n_correct,
     preset,
     ruleset_from_features,
 )
@@ -213,19 +215,47 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    """Predict the file one block of rows at a time (Table.read_blocks):
+    read, encode and cover a block, keep its prediction digits and correct
+    count, and drop it, so that the command holds one block of the input,
+    not the file. The output is written at the end, so a file that fails
+    writes nothing. A block's error need not be the whole file's first: a
+    read error in a later block outranks an encode error in an earlier
+    one, and a bad label lists the whole column's bad values. So on an
+    error the whole file is read and encoded again, as one table, to raise
+    the error it gives."""
     model = load_model(args.model)
-    table = Table.read_csv(args.data)
-    if args.labels_column and args.labels_column not in table.names:
-        raise SchemaError(f"table lacks column {args.labels_column!r}")
-    data = apply_descriptors(table, model.descriptors, args.labels_column)
-    S = ruleset_from_features(model.rule_features, data)
-    covered = S.covered
+    digits: list[str] = []
+    correct = n = 0
+    try:
+        with contextlib.closing(Table.read_blocks(args.data)) as blocks:
+            for table in blocks:
+                data = _encode_served(table, model, args.labels_column)
+                S = ruleset_from_features(model.rule_features, data)
+                digits.append(_digits(S.covered, data.n))
+                correct += n_correct(S, data)
+                n += data.n
+    except (DataError, SchemaError, UnicodeDecodeError):
+        _encode_served(Table.read_csv(args.data), model, args.labels_column)
+        raise
     with _output(args.out) as out:
         # The bytes csv.writer writes: one digit per row, each ending in "\r\n".
-        out.write("prediction\r\n" + "\r\n".join(_digits(covered, data.n)) + "\r\n")
+        out.write("prediction\r\n")
+        for block in digits:
+            out.write("\r\n".join(block) + "\r\n")
     if args.labels_column:
-        print(f"accuracy={metrics(S, data).accuracy:.4f}", file=sys.stderr)
+        print(f"accuracy={correct / n:.4f}", file=sys.stderr)
     return 0
+
+
+def _encode_served(
+    table: Table, model: LoadedModel, labels_column: str | None
+) -> BinaryDataset:
+    """The table encoded with the model's features, once the labels column,
+    if one is named, is found in it."""
+    if labels_column and labels_column not in table.names:
+        raise SchemaError(f"table lacks column {labels_column!r}")
+    return apply_descriptors(table, model.descriptors, labels_column)
 
 
 def _evaluation_rows(results, best: int) -> list[dict]:

@@ -28,13 +28,24 @@ operands. Each `<=` and `=` bitset is then one bytes.translate of the codes
 (bits.pack_codes), a binary column's bitset is its cells read as digits,
 and `>`, `!=` and `= 0` are their complements. A column with more than
 255 cuts or operands is coded in windows of 255.
+
+CSV input is read by one reader, Table.read_blocks, which yields the rows
+as Tables of at most a given number of rows, one at a time, with the checks
+of a whole-file read. Table.read_csv is that reader with no limit: one
+block, the whole table. predict reads, encodes and predicts STREAM_BLOCK
+rows at a time, so it holds one block of its input, not the file. A
+block's error need not be the file's first (a read error in a later block
+outranks an encode error in an earlier one), so on an error predict reads
+and encodes the whole file again and reports the error that gives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import re
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -66,6 +77,14 @@ CODE_WINDOW = 255
 # resident peak follows allocator layout more than block size, so
 # re-measure on change.
 READ_BLOCK = 32
+# Rows per Table that Table.read_blocks yields by default: predict reads,
+# encodes and predicts its input one such block at a time, so it holds a
+# block of the file, not the file.
+STREAM_BLOCK = 1024
+# Cells a column holds before _Columns judges whether its cells repeat
+# enough to share: a first block of a few dozen rows shows more than half
+# distinct cells in a column of twenty categories.
+SHARE_AFTER = 256
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
@@ -133,8 +152,8 @@ class Table:
     @classmethod
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence[str]]) -> "Table":
         """The table of the stripped cells of rows, in list columns, read as
-        _columns says."""
-        return cls(list(names), _columns(rows, len(names), []))
+        _Columns.take says."""
+        return cls(list(names), _Columns(len(names)).take(rows, []))
 
     @classmethod
     def read_csv(cls, path: str) -> "Table":
@@ -144,23 +163,43 @@ class Table:
         DataError naming the file and the line; the first error in row
         order is reported.
 
-        While every cell is one character, the rows after the header are
-        read as raw lines, READ_BLOCK at a time (_narrow_lines), and the csv
-        module parses only the header. A file read to its end that way is
-        held as str columns; from the first block that is not narrow on, the
-        csv module parses the rest of the file, and the table is held as
-        list columns."""
+        This is read_blocks with no limit on a block's rows: the whole file
+        is one block. While every cell is one character, the rows after the
+        header are read as raw lines, READ_BLOCK at a time (_narrow_lines),
+        and the csv module parses only the header. A file read to its end
+        that way is held as str columns; from the first block that is not
+        narrow on, the csv module parses the rest of the file, and the table
+        is held as list columns."""
         try:
-            return cls._read_csv(path, "strict")
+            (table,) = cls.read_blocks(path, sys.maxsize)
         except UnicodeDecodeError:
             # The text layer decodes in chunks ahead of the reader, so its
             # error names no line and may come before an earlier row's
             # error. Read again with the bad bytes escaped, and raise at the
             # first line that holds one.
-            return cls._read_csv(path, "surrogateescape")
+            (table,) = cls.read_blocks(path, sys.maxsize, "surrogateescape")
+        return table
 
     @classmethod
-    def _read_csv(cls, path: str, errors: str) -> "Table":
+    def read_blocks(
+        cls, path: str, rows: int = STREAM_BLOCK, errors: str = "strict"
+    ) -> Iterator["Table"]:
+        """The file's rows as Tables of at most `rows` rows each, in order,
+        each read when the caller asks for it, so the reader holds only the
+        block it is reading. A file with no row after its header yields one
+        empty Table; any other yields no empty one.
+
+        Each block is read as read_csv reads a whole file, with the same
+        checks at the same lines, and every block holds the cells read_csv
+        would: while the file's lines are narrow a block is held as str
+        columns, and from the first block of READ_BLOCK lines that is not,
+        as list columns whose sharing state (_Columns) runs on from block
+        to block. With errors="strict", bytes that are not UTF-8 raise
+        UnicodeDecodeError, possibly ahead of an earlier line's error;
+        read_csv then reads again with errors="surrogateescape", which
+        raises a DataError at the first line that holds one. A block's
+        error is the first of its own rows, so a caller that must report a
+        whole file's first error reads the file again with read_csv."""
         with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
             lines = fh if errors == "strict" else _utf8_lines(fh, path)
             reader = csv.reader(lines)
@@ -170,69 +209,106 @@ class Table:
                 if header is None:
                     raise DataError(f"{path}: empty file")
                 names = [h.strip() for h in header]
+                width = len(names)
                 narrow: list[str] = []
+                # Rows of the next block read as narrow lines; rows yielded.
+                taken = served = 0
                 if errors == "strict":
-                    rest, read = _narrow_lines(fh, len(names), narrow)
-                    if narrow and not rest:
-                        return cls(names, _narrow_columns(narrow, len(names)))
+                    while True:
+                        rest, taken = _narrow_lines(fh, width, narrow, rows)
+                        skipped += taken
+                        if rest or not narrow:
+                            break
+                        yield cls(names, _narrow_columns(narrow, width))
+                        served += taken
                     # The new reader counts lines from 1 again.
-                    skipped = reader.line_num + read
+                    skipped += reader.line_num
                     reader = csv.reader(chain(rest, fh))
-                return cls(names, _columns(reader, len(names), narrow))
+                columns = _Columns(width)
+                while True:
+                    table = cls(names, columns.take(islice(reader, rows - taken), narrow))
+                    if table.n or not served:
+                        yield table
+                    if table.n < rows:
+                        return
+                    served += table.n
+                    taken = 0
             except csv.Error as e:
                 raise DataError(f"{path}: line {skipped + reader.line_num}: {e}") from None
 
 
-def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> list[list[str]]:
-    """The list columns of the cells of the narrow blocks already read,
-    whose one-character cells narrow holds joined in row order, followed by
-    the stripped cells of rows. Each row's width is checked as the row is
-    reached, so a ragged row is reported before anything that iterating past
-    it would raise. Rows are then transposed READ_BLOCK at a time: one
-    C-level step per column and block, not one Python step per cell. A
-    column's block none of whose cells holds whitespace is taken as read,
-    since str.strip would return every cell unchanged. Columns are probed
-    only when the block's first row holds no whitespace, so that a padded
-    file, whose first row shows it, pays one row's probe per block.
+class _Columns:
+    """List columns built from rows, with each column's sharing state kept
+    from one take to the next, so that a file read in blocks shares its
+    cells as it would read whole."""
 
-    Equal cells of a column are held as one object: each cell, narrow or
-    stripped, is mapped through the column's dict of the cells seen so far,
-    so a categorical column costs an 8-byte list slot per cell instead of a
-    str of about 50 bytes. A column whose dict, after a block, holds more
-    entries than half its cells stops sharing: the dict is dropped and the
-    rest of its cells are kept as read, since mostly distinct cells,
-    numbers say, would gain little and pay for the dict."""
+    def __init__(self, width: int) -> None:
+        self.width = width
+        # Each column's dict of the cells seen so far, or None once the
+        # column stops sharing; and the cells each column has taken.
+        self.shared: list[dict[str, str] | None] = [{} for _ in range(width)]
+        self.held = 0
 
-    def checked() -> Iterator[Sequence[str]]:
-        for row in rows:
-            if len(row) != width:
-                raise DataError(f"row has {len(row)} cells, expected {width}")
-            yield row
+    def take(self, rows: Iterable[Sequence[str]], narrow: list[str]) -> list[list[str]]:
+        """The list columns of the cells of the narrow blocks already read,
+        whose one-character cells narrow holds joined in row order, followed
+        by the stripped cells of rows. Each row's width is checked as the row
+        is reached, so a ragged row is reported before anything that
+        iterating past it would raise. Rows are then transposed READ_BLOCK at
+        a time: one C-level step per column and block, not one Python step
+        per cell. A column's block none of whose cells holds whitespace is
+        taken as read, since str.strip would return every cell unchanged.
+        Columns are probed only when the block's first row holds no
+        whitespace, so that a padded file, whose first row shows it, pays one
+        row's probe per block.
 
-    cols: list[list[str]] = [[] for _ in range(width)]
-    shared: list[dict[str, str] | None] = [{} for _ in range(width)]
-    for c, memo, cells in zip(cols, shared, _narrow_columns(narrow, width)):
-        c.extend(map(memo.setdefault, cells, cells))
-    blocks = checked()
-    while block := list(islice(blocks, READ_BLOCK)):
-        probe = _blank_free("".join(block[0]))
-        for j, (c, memo, cells) in enumerate(zip(cols, shared, zip(*block))):
-            if not (probe and _blank_free("".join(cells))):
-                cells = tuple(map(str.strip, cells))
-            if memo is None:
-                c.extend(cells)
-            else:
+        Equal cells of a column are held as one object: each cell, narrow or
+        stripped, is mapped through the column's dict of the cells seen so
+        far, so a categorical column costs an 8-byte list slot per cell
+        instead of a str of about 50 bytes. A column that has taken at least
+        SHARE_AFTER cells, and whose dict, after a block, holds more entries
+        than half of them, stops sharing: the dict is dropped and the rest
+        of its cells are kept as read, since mostly distinct cells, numbers
+        say, would gain little and pay for the dict."""
+        width = self.width
+
+        def checked() -> Iterator[Sequence[str]]:
+            for row in rows:
+                if len(row) != width:
+                    raise DataError(f"row has {len(row)} cells, expected {width}")
+                yield row
+
+        shared = self.shared
+        cols: list[list[str]] = [[] for _ in range(width)]
+        if narrow:
+            # A reader passes narrow blocks only to its first take, whose
+            # dicts are all still there.
+            for c, memo, cells in zip(cols, shared, _narrow_columns(narrow, width)):
                 c.extend(map(memo.setdefault, cells, cells))
-                if 2 * len(memo) > len(c):
-                    shared[j] = None
-    return cols
+            self.held += len(cols[0]) if cols else 0
+        blocks = checked()
+        while block := list(islice(blocks, READ_BLOCK)):
+            self.held += len(block)
+            probe = _blank_free("".join(block[0]))
+            for j, (c, memo, cells) in enumerate(zip(cols, shared, zip(*block))):
+                if not (probe and _blank_free("".join(cells))):
+                    cells = tuple(map(str.strip, cells))
+                if memo is None:
+                    c.extend(cells)
+                else:
+                    c.extend(map(memo.setdefault, cells, cells))
+                    if self.held >= SHARE_AFTER and 2 * len(memo) > self.held:
+                        shared[j] = None
+        return cols
 
 
-def _narrow_lines(lines: Iterator[str], width: int, narrow: list[str]) -> tuple[list[str], int]:
-    """Read lines READ_BLOCK at a time while each block is narrow,
-    appending its cells, joined in row order, to narrow. Returns the lines
-    of the first block that is not ([] at the end of the file) and the
-    number of lines read before it.
+def _narrow_lines(
+    lines: Iterator[str], width: int, narrow: list[str], limit: int
+) -> tuple[list[str], int]:
+    """Read at most limit lines, READ_BLOCK at a time, while each block is
+    narrow, appending its cells, joined in row order, to narrow. Returns
+    the lines of the first block that is not ([] at the end of the file or
+    at the limit) and the number of lines read before it.
 
     A block is narrow when, with each CRLF turned into LF and an LF added
     to a last line that has none, its odd characters are exactly width - 1
@@ -245,7 +321,7 @@ def _narrow_lines(lines: Iterator[str], width: int, narrow: list[str]) -> tuple[
     stripping keeps. Any other block is left to the csv module."""
     separators = ("," * (width - 1) + "\n") * READ_BLOCK
     read = 0
-    while block := list(islice(lines, READ_BLOCK)):
+    while read < limit and (block := list(islice(lines, min(READ_BLOCK, limit - read)))):
         text = "".join(block).replace("\r\n", "\n")
         if not text.endswith("\n"):
             text += "\n"
@@ -442,9 +518,11 @@ class BinaryDataset:
         if len(self.columns) != len(self.descriptors):
             raise DataError("columns/descriptors length mismatch")
         self.universe = all_ones(self.n)
-        if self.labels & ~self.universe:
+        # A bitset within the universe has no bit at n or above; shifting it
+        # right by n leaves 0 without building ~universe each time.
+        if self.labels >> self.n:
             raise DataError("label bits outside sample range")
-        if any(c & ~self.universe for c in self.columns):
+        if any(c >> self.n for c in self.columns):
             raise DataError("column bits outside sample range")
 
     @property
@@ -554,12 +632,28 @@ def _pack_cuts(values: list[float], cuts: list[float]) -> list[int]:
 def _pack_operands(col: Sequence[str], operands: list[str]) -> list[int]:
     """The bitset of `cell = z` for each distinct operand z. A cell's code
     is z's index in a window of operands, or the window's length for a cell
-    equal to none of them."""
+    equal to none of them.
+
+    A str column whose cells are all Latin-1 is coded by one bytes.translate
+    of its Latin-1 bytes, each of which is its cell's code point: a cell
+    equals z exactly when z is that one character. Other columns look each
+    cell up in a dict."""
+    raw = None
+    if isinstance(col, str):
+        with contextlib.suppress(UnicodeEncodeError):
+            raw = col.encode("latin-1")
     out = []
     for start in range(0, len(operands), CODE_WINDOW):
         window = operands[start:start + CODE_WINDOW]
         lookup = {z: k for k, z in enumerate(window)}
-        codes = bytes(map(lookup.get, col, repeat(len(window))))
+        if raw is None:
+            codes = bytes(map(lookup.get, col, repeat(len(window))))
+        else:
+            table = bytearray([len(window)]) * 256
+            for z, k in lookup.items():
+                if len(z) == 1 and ord(z) < 256:
+                    table[ord(z)] = k
+            codes = raw.translate(table)
         out += [pack_codes(codes, (k,)) for k in range(len(window))]
     return out
 

@@ -241,13 +241,16 @@ class Metrics:
         return asdict(self)
 
 
+def n_correct(S: RuleSet, data: BinaryDataset) -> int:
+    """Samples that 'predict 1 iff covered' labels correctly."""
+    return (S.covered & data.positives).bit_count() + (data.negatives & ~S.covered).bit_count()
+
+
 def metrics(S: RuleSet, data: BinaryDataset) -> Metrics:
     """0/1 accuracy of 'predict 1 iff covered', rule-set size, and the
     fraction of samples covered by more than one rule."""
-    correct = (S.covered & data.positives).bit_count()
-    correct += (data.negatives & ~S.covered).bit_count()
     return Metrics(
-        accuracy=correct / data.n if data.n else 0.0,
+        accuracy=n_correct(S, data) / data.n if data.n else 0.0,
         n_rules=len(S),
         n_literals=S.n_literals,
         overlap=S.overlap.bit_count() / data.n if data.n else 0.0,

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_table
 from rulecover.dataset import (
     BINARY,
+    BinaryDataset,
     CATEGORICAL,
     DataError,
     FeatureDescriptor,
@@ -443,3 +444,17 @@ def test_tic_tac_toe_feature_naming():
     assert "top-left = x" in names
     assert "middle-middle != o" in names
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+def test_binary_dataset_rejects_bits_outside_its_rows(n):
+    # A bit at n or above, or a negative bitset (every bit set beyond the
+    # top), lies outside the n samples.
+    desc = [FeatureDescriptor("f", 0, "f", "raw-binary", 1)]
+    inside = (1 << n) - 1
+    assert BinaryDataset(n, [inside], inside, desc).universe == inside
+    for bad in (1 << n, inside | 1 << (n + 7), -1):
+        with pytest.raises(DataError, match="column bits outside sample range"):
+            BinaryDataset(n, [bad], inside, desc)
+        with pytest.raises(DataError, match="label bits outside sample range"):
+            BinaryDataset(n, [inside], bad, desc)

@@ -235,3 +235,20 @@ def test_str_columns_encode_like_the_same_cells_in_lists(bad):
             assert applied[0] == applied[1]
             if bad == ("b", "2") and any(d.source_name == "b" for d in fitted.descriptors):
                 assert applied[0] == (DataError, "b: non-binary value '2'")
+
+
+@pytest.mark.parametrize("alphabet", ["xob", "xo\x00\xe9\xff", "xo☃"])
+def test_str_columns_code_their_cells_like_lists(alphabet):
+    # A str column of Latin-1 cells is coded by translating its bytes; the
+    # snowman is not Latin-1, and its column is looked up cell by cell.
+    # Operands that are longer, empty or beyond Latin-1 match no byte, and
+    # there are more of them than one code window.
+    rng = random.Random(len(alphabet))
+    n = 300
+    col = "".join(rng.choice(alphabet) for _ in range(n))
+    operands = list(alphabet) + ["xx", "", "☃"] + [
+        chr(0x100 + i) for i in range(2 * CODE_WINDOW)]
+    rng.shuffle(operands)
+    group = [categorical(z, rng.random() < 0.5) for z in operands]
+    listed = assert_encodes_like_reference(list(col), group)
+    assert _encode_column(col, "x", group, all_ones(n)) == listed

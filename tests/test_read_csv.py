@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from rulecover.dataset import READ_BLOCK, DataError, Table
+from rulecover.dataset import READ_BLOCK, SHARE_AFTER, DataError, Table
 
 B = READ_BLOCK
 PADS = [" ", "\t", "\xa0", "　", " \t\xa0　 "]
@@ -387,6 +387,25 @@ def test_repeating_cells_are_held_at_one_slot_per_cell(tmp_path, sep):
     assert set(table.columns[0]) == {f"v{i}" for i in range(12)}
 
 
+@pytest.mark.parametrize("categories", [20, 30])
+def test_columns_of_a_few_dozen_categories_share_their_cells(tmp_path, categories):
+    # A first block of 32 rows shows more than 16 of 20 or 30 categories
+    # (all of them in the cycling first column); whether a column shares is
+    # judged only once it holds SHARE_AFTER cells, and then it holds far
+    # fewer distinct cells than half of them.
+    n = 20_000
+    rng = random.Random(categories)
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write("c0,c1\n")
+        for i in range(n):
+            fh.write(f"v{i % categories},w{rng.randrange(categories)}\n")
+    table, peak = read_peak(path)
+    assert peak < 12 * n * 2
+    assert table.n == n and not is_narrow(table) and shared_cells(table)
+    assert len(set(map(id, table.columns[0]))) == categories
+
+
 def test_distinct_cells_are_held_as_read(tmp_path):
     # Every cell is a distinct number: each column's dict is dropped after
     # its first block, and the table holds a str and a slot per cell.
@@ -437,13 +456,33 @@ def narrow_file(path):
     )
 
 
+def read_in_blocks(path, rows):
+    """The outcome of reading path with read_blocks, its blocks joined;
+    asserts that every block but the last holds `rows` rows and the last
+    1 to `rows`, or that the only block is empty."""
+    try:
+        blocks = list(Table.read_blocks(str(path), rows))
+    except (DataError, csv.Error) as e:
+        return type(e), str(e)
+    sizes = [t.n for t in blocks]
+    assert sizes == [0] or (
+        all(n == rows for n in sizes[:-1]) and 0 < sizes[-1] <= rows), sizes
+    assert all(t.names == blocks[0].names for t in blocks)
+    return blocks[0].names, [[cell for t in blocks for cell in t.columns[j]]
+                             for j in range(len(blocks[0].names))]
+
+
 def same_read(path):
     """Assert that read_csv reads path as the frozen reader does, with str
-    columns exactly when narrow_file holds; return the outcome."""
+    columns exactly when narrow_file holds, and that read_blocks gives the
+    same cells or error at block sizes below, at and above READ_BLOCK;
+    return the outcome."""
     expected = outcome(frozen_read_csv, str(path))
     assert outcome(Table.read_csv, str(path)) == expected
     if expected[0] is not DataError:
         assert is_narrow(Table.read_csv(str(path))) == narrow_file(path)
+    for rows in (1, B - 1, B, 2 * B + 3):
+        assert read_in_blocks(path, rows) == expected
     return expected
 
 
@@ -562,3 +601,60 @@ def test_equal_cells_of_a_repeating_column_are_one_object(tmp_path, lines):
     rows = [line.split(",") for line in lines]
     assert shared_cells(Table.from_rows(names, rows))
 
+
+
+@pytest.mark.parametrize("rows", [B, 3 * B + 1])
+def test_blocks_share_cells_as_a_whole_read_does(tmp_path, rows):
+    # The dicts of a read in blocks run on from block to block: a repeating
+    # column is one object per category across all blocks, and a column of
+    # distinct cells stops sharing after SHARE_AFTER of them, as in a whole
+    # read.
+    n = 4 * SHARE_AFTER + 7
+    lines = [f"v{i % 5}, {i * 0.37:.2f},w{i % 40}" for i in range(n)]
+    path = tmp_path / "t.csv"
+    write_lines(path, lines)
+    blocks = list(Table.read_blocks(str(path), rows))
+    assert not any(map(is_narrow, blocks))
+    joined = Table(["a", "b", "c"], [[x for t in blocks for x in t.columns[j]] for j in range(3)])
+    assert joined == Table.read_csv(str(path))
+    assert len(set(map(id, joined.columns[0]))) == 5
+    assert len(set(map(id, joined.columns[2]))) == 40
+    assert len(set(map(id, joined.columns[1]))) == n
+
+
+@pytest.mark.parametrize("turn", [0, B - 1, 2 * B, 5 * B + 3])
+def test_narrow_blocks_are_str_until_the_file_turns(tmp_path, turn):
+    # Blocks wholly before the first READ_BLOCK lines that are not narrow
+    # are held as str columns; the block holding them, and every later
+    # one, as lists.
+    rows = 2 * B
+    lines = line_rows(7 * B + 5)
+    lines[turn] = "x,yz,c"
+    path = tmp_path / "t.csv"
+    write_lines(path, lines)
+    blocks = list(Table.read_blocks(str(path), rows))
+    assert [is_narrow(t) for t in blocks] == [i < turn // rows for i in range(len(blocks))]
+    assert read_in_blocks(path, rows) == outcome(frozen_read_csv, str(path))
+
+
+def test_a_narrow_file_of_whole_blocks_yields_no_empty_block(tmp_path):
+    path = tmp_path / "t.csv"
+    write_lines(path, line_rows(4 * B))
+    assert [(t.n, is_narrow(t)) for t in Table.read_blocks(str(path), 2 * B)] == [
+        (2 * B, True), (2 * B, True)]
+    write(path, [])
+    assert [(t.names, t.n) for t in Table.read_blocks(str(path), B)] == [
+        (["a", "b", "c"], 0)]
+
+
+def test_read_blocks_raises_the_decode_error_that_read_csv_turns_to_a_line(tmp_path):
+    # Strict decoding raises UnicodeDecodeError, which names no line;
+    # read_csv reads again to name it.
+    lines = [line.encode() for line in line_rows(3 * B)]
+    lines[2 * B] = b"x,\xff,c"
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\r\n".join([b"a,b,c"] + lines) + b"\r\n")
+    with pytest.raises(UnicodeDecodeError):
+        list(Table.read_blocks(str(path), B))
+    assert outcome(Table.read_csv, str(path)) == (
+        DataError, f"{path}: line {2 * B + 2}: bytes that are not UTF-8")
