@@ -235,7 +235,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
                 digits.append(_digits(S.covered, data.n))
                 correct += n_correct(S, data)
                 n += data.n
-    except (DataError, SchemaError, UnicodeDecodeError):
+    except (DataError, SchemaError):
         _encode_served(Table.read_csv(args.data), model, args.labels_column)
         raise
     with _output(args.out) as out:

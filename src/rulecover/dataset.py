@@ -29,14 +29,15 @@ operands. Each `<=` and `=` bitset is then one bytes.translate of the codes
 and `>`, `!=` and `= 0` are their complements. A column with more than
 255 cuts or operands is coded in windows of 255.
 
-CSV input is read by one reader, Table.read_blocks, which yields the rows
-as Tables of at most a given number of rows, one at a time, with the checks
-of a whole-file read. Table.read_csv is that reader with no limit: one
-block, the whole table. predict reads, encodes and predicts STREAM_BLOCK
-rows at a time, so it holds one block of its input, not the file. A
-block's error need not be the file's first (a read error in a later block
-outranks an encode error in an earlier one), so on an error predict reads
-and encodes the whole file again and reports the error that gives.
+CSV input is read by one reader, Table.read_blocks, which opens the file
+once and yields its rows as Tables of at most a given number of rows, one
+at a time, each read and checked as a whole file of its own rows would be.
+Table.read_csv is that reader with no limit: one block, the whole table.
+predict reads, encodes and predicts STREAM_BLOCK rows at a time, so it
+holds one block of its input, not the file. A block's error need not be
+the file's first (a read error in a later block outranks an encode error
+in an earlier one), so on an error predict reads and encodes the whole
+file again and reports the error that gives.
 """
 
 from __future__ import annotations
@@ -72,16 +73,16 @@ NUMERIC_KINDS = ("numeric-le", "numeric-gt")
 # Operands per pass of the code-byte encoder: codes 0..254 name them and the
 # last value is left for a cell past every cut or equal to no category.
 CODE_WINDOW = 255
-# Rows that _columns transposes, and lines that _narrow_lines reads, at
-# once. Larger blocks take fewer steps but hold more rows at a time; the
-# resident peak follows allocator layout more than block size, so
-# re-measure on change.
+# Rows that _columns transposes, and lines that _narrow_lines reads and
+# _utf8_blocks checks, at once. Larger blocks take fewer steps but hold more
+# rows at a time; the resident peak follows allocator layout more than block
+# size, so re-measure on change.
 READ_BLOCK = 32
 # Rows per Table that Table.read_blocks yields by default: predict reads,
 # encodes and predicts its input one such block at a time, so it holds a
 # block of the file, not the file.
 STREAM_BLOCK = 1024
-# Cells a column holds before _Columns judges whether its cells repeat
+# Cells a column holds before _columns judges whether its cells repeat
 # enough to share: a first block of a few dozen rows shows more than half
 # distinct cells in a column of twenty categories.
 SHARE_AFTER = 256
@@ -119,7 +120,8 @@ class Table:
         if len(self.names) != len(self.columns):
             raise DataError("names/columns length mismatch")
         if len(set(self.names)) != len(self.names):
-            raise SchemaError("duplicate column names")
+            repeated = sorted({n for n in self.names if self.names.count(n) > 1})
+            raise SchemaError(f"duplicate column names: {repeated}")
         widths = {len(c) for c in self.columns}
         if len(widths) > 1:
             raise DataError("ragged columns")
@@ -152,8 +154,8 @@ class Table:
     @classmethod
     def from_rows(cls, names: Sequence[str], rows: Iterable[Sequence[str]]) -> "Table":
         """The table of the stripped cells of rows, in list columns, read as
-        _Columns.take says."""
-        return cls(list(names), _Columns(len(names)).take(rows, []))
+        _columns says."""
+        return cls(list(names), _columns(rows, len(names), []))
 
     @classmethod
     def read_csv(cls, path: str) -> "Table":
@@ -170,39 +172,30 @@ class Table:
         that way is held as str columns; from the first block that is not
         narrow on, the csv module parses the rest of the file, and the table
         is held as list columns."""
-        try:
-            (table,) = cls.read_blocks(path, sys.maxsize)
-        except UnicodeDecodeError:
-            # The text layer decodes in chunks ahead of the reader, so its
-            # error names no line and may come before an earlier row's
-            # error. Read again with the bad bytes escaped, and raise at the
-            # first line that holds one.
-            (table,) = cls.read_blocks(path, sys.maxsize, "surrogateescape")
+        (table,) = cls.read_blocks(path, sys.maxsize)
         return table
 
     @classmethod
-    def read_blocks(
-        cls, path: str, rows: int = STREAM_BLOCK, errors: str = "strict"
-    ) -> Iterator["Table"]:
+    def read_blocks(cls, path: str, rows: int = STREAM_BLOCK) -> Iterator["Table"]:
         """The file's rows as Tables of at most `rows` rows each, in order,
         each read when the caller asks for it, so the reader holds only the
         block it is reading. A file with no row after its header yields one
         empty Table; any other yields no empty one.
 
-        Each block is read as read_csv reads a whole file, with the same
-        checks at the same lines, and every block holds the cells read_csv
-        would: while the file's lines are narrow a block is held as str
-        columns, and from the first block of READ_BLOCK lines that is not,
-        as list columns whose sharing state (_Columns) runs on from block
-        to block. With errors="strict", bytes that are not UTF-8 raise
-        UnicodeDecodeError, possibly ahead of an earlier line's error;
-        read_csv then reads again with errors="surrogateescape", which
-        raises a DataError at the first line that holds one. A block's
-        error is the first of its own rows, so a caller that must report a
-        whole file's first error reads the file again with read_csv."""
-        with open(path, newline="", encoding="utf-8-sig", errors=errors) as fh:
-            lines = fh if errors == "strict" else _utf8_lines(fh, path)
-            reader = csv.reader(lines)
+        The file is opened once, with each byte that is not UTF-8 decoded
+        to a code point in U+DC80..U+DCFF, and a line that holds one is a
+        DataError raised when the read reaches it, so errors come in row
+        order. Each block is read as read_csv reads a whole file, with the
+        same checks at the same lines, and holds the cells read_csv would:
+        while the file's lines are narrow a block is held as str columns,
+        and from the first block of READ_BLOCK lines that is not, as list
+        columns (_columns). A block's error is the first of its own rows,
+        so a caller that must report a whole file's first error reads the
+        file again with read_csv."""
+        with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            # The header's lines are checked one by one, so that the raw-line
+            # reader starts at the line after it.
+            reader = csv.reader(_utf8_lines(fh, path, 0))
             skipped = 0
             try:
                 header = next(reader, None)
@@ -213,20 +206,18 @@ class Table:
                 narrow: list[str] = []
                 # Rows of the next block read as narrow lines; rows yielded.
                 taken = served = 0
-                if errors == "strict":
-                    while True:
-                        rest, taken = _narrow_lines(fh, width, narrow, rows)
-                        skipped += taken
-                        if rest or not narrow:
-                            break
-                        yield cls(names, _narrow_columns(narrow, width))
-                        served += taken
-                    # The new reader counts lines from 1 again.
-                    skipped += reader.line_num
-                    reader = csv.reader(chain(rest, fh))
-                columns = _Columns(width)
                 while True:
-                    table = cls(names, columns.take(islice(reader, rows - taken), narrow))
+                    rest, taken = _narrow_lines(fh, width, narrow, rows)
+                    skipped += taken
+                    if rest or not narrow:
+                        break
+                    yield cls(names, _narrow_columns(narrow, width))
+                    served += taken
+                # The new reader counts lines from 1 again.
+                skipped += reader.line_num
+                reader = csv.reader(_utf8_blocks(chain(rest, fh), path, skipped))
+                while True:
+                    table = cls(names, _columns(islice(reader, rows - taken), width, narrow))
                     if table.n or not served:
                         yield table
                     if table.n < rows:
@@ -237,69 +228,54 @@ class Table:
                 raise DataError(f"{path}: line {skipped + reader.line_num}: {e}") from None
 
 
-class _Columns:
-    """List columns built from rows, with each column's sharing state kept
-    from one take to the next, so that a file read in blocks shares its
-    cells as it would read whole."""
+def _columns(rows: Iterable[Sequence[str]], width: int, narrow: list[str]) -> list[list[str]]:
+    """The list columns of the cells of the narrow blocks already read,
+    whose one-character cells narrow holds joined in row order, followed by
+    the stripped cells of rows. Each row's width is checked as the row is
+    reached, so a ragged row is reported before anything that iterating
+    past it would raise. Rows are then transposed READ_BLOCK at a time: one
+    C-level step per column and block, not one Python step per cell. A
+    column's block none of whose cells holds whitespace is taken as read,
+    since str.strip would return every cell unchanged. Columns are probed
+    only when the block's first row holds no whitespace, so that a padded
+    file, whose first row shows it, pays one row's probe per block.
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        # Each column's dict of the cells seen so far, or None once the
-        # column stops sharing; and the cells each column has taken.
-        self.shared: list[dict[str, str] | None] = [{} for _ in range(width)]
-        self.held = 0
+    Equal cells of a column are held as one object: each cell, narrow or
+    stripped, is mapped through the column's dict of the cells seen so far,
+    so a categorical column costs an 8-byte list slot per cell instead of a
+    str of about 50 bytes. A column that has taken at least SHARE_AFTER
+    cells, and whose dict, after a block, holds more entries than half of
+    them, stops sharing: the dict is dropped and the rest of its cells are
+    kept as read, since mostly distinct cells, numbers say, would gain
+    little and pay for the dict. Each call judges its own cells alone."""
 
-    def take(self, rows: Iterable[Sequence[str]], narrow: list[str]) -> list[list[str]]:
-        """The list columns of the cells of the narrow blocks already read,
-        whose one-character cells narrow holds joined in row order, followed
-        by the stripped cells of rows. Each row's width is checked as the row
-        is reached, so a ragged row is reported before anything that
-        iterating past it would raise. Rows are then transposed READ_BLOCK at
-        a time: one C-level step per column and block, not one Python step
-        per cell. A column's block none of whose cells holds whitespace is
-        taken as read, since str.strip would return every cell unchanged.
-        Columns are probed only when the block's first row holds no
-        whitespace, so that a padded file, whose first row shows it, pays one
-        row's probe per block.
+    def checked() -> Iterator[Sequence[str]]:
+        for row in rows:
+            if len(row) != width:
+                raise DataError(f"row has {len(row)} cells, expected {width}")
+            yield row
 
-        Equal cells of a column are held as one object: each cell, narrow or
-        stripped, is mapped through the column's dict of the cells seen so
-        far, so a categorical column costs an 8-byte list slot per cell
-        instead of a str of about 50 bytes. A column that has taken at least
-        SHARE_AFTER cells, and whose dict, after a block, holds more entries
-        than half of them, stops sharing: the dict is dropped and the rest
-        of its cells are kept as read, since mostly distinct cells, numbers
-        say, would gain little and pay for the dict."""
-        width = self.width
-
-        def checked() -> Iterator[Sequence[str]]:
-            for row in rows:
-                if len(row) != width:
-                    raise DataError(f"row has {len(row)} cells, expected {width}")
-                yield row
-
-        shared = self.shared
-        cols: list[list[str]] = [[] for _ in range(width)]
-        if narrow:
-            # A reader passes narrow blocks only to its first take, whose
-            # dicts are all still there.
-            for c, memo, cells in zip(cols, shared, _narrow_columns(narrow, width)):
+    # Each column's dict of the cells seen so far, or None once the column
+    # stops sharing; and the cells each column has taken.
+    shared: list[dict[str, str] | None] = [{} for _ in range(width)]
+    cols: list[list[str]] = [[] for _ in range(width)]
+    for c, memo, cells in zip(cols, shared, _narrow_columns(narrow, width)):
+        c.extend(map(memo.setdefault, cells, cells))
+    held = len(cols[0]) if cols else 0
+    blocks = checked()
+    while block := list(islice(blocks, READ_BLOCK)):
+        held += len(block)
+        probe = _blank_free("".join(block[0]))
+        for j, (c, memo, cells) in enumerate(zip(cols, shared, zip(*block))):
+            if not (probe and _blank_free("".join(cells))):
+                cells = tuple(map(str.strip, cells))
+            if memo is None:
+                c.extend(cells)
+            else:
                 c.extend(map(memo.setdefault, cells, cells))
-            self.held += len(cols[0]) if cols else 0
-        blocks = checked()
-        while block := list(islice(blocks, READ_BLOCK)):
-            self.held += len(block)
-            probe = _blank_free("".join(block[0]))
-            for j, (c, memo, cells) in enumerate(zip(cols, shared, zip(*block))):
-                if not (probe and _blank_free("".join(cells))):
-                    cells = tuple(map(str.strip, cells))
-                if memo is None:
-                    c.extend(cells)
-                else:
-                    c.extend(map(memo.setdefault, cells, cells))
-                    if self.held >= SHARE_AFTER and 2 * len(memo) > self.held:
-                        shared[j] = None
-        return cols
+                if held >= SHARE_AFTER and 2 * len(memo) > held:
+                    shared[j] = None
+    return cols
 
 
 def _narrow_lines(
@@ -313,12 +289,13 @@ def _narrow_lines(
     A block is narrow when, with each CRLF turned into LF and an LF added
     to a last line that has none, its odd characters are exactly width - 1
     commas and an LF per line, and its even characters, the cells, hold no
-    quote, comma, NUL (which the csv module of Python 3.10 rejects) or
-    character str.strip removes. The text then ends at its last separator,
-    since a further character would be its final LF as a cell. Lines end
-    only at CR, LF or CRLF, so each line is one row of the pattern, which
-    the csv module reads as its width one-character cells, each of which
-    stripping keeps. Any other block is left to the csv module."""
+    quote, comma, NUL (which the csv module of Python 3.10 rejects),
+    character str.strip removes or escaped byte (_ESCAPED_BYTE). The text
+    then ends at its last separator, since a further character would be its
+    final LF as a cell. Lines end only at CR, LF or CRLF, so each line is
+    one row of the pattern, which the csv module reads as its width
+    one-character cells, each of which stripping keeps. Any other block is
+    left to the csv module, whose lines _utf8_blocks checks."""
     separators = ("," * (width - 1) + "\n") * READ_BLOCK
     read = 0
     while read < limit and (block := list(islice(lines, min(READ_BLOCK, limit - read)))):
@@ -332,6 +309,7 @@ def _narrow_lines(
             and "," not in cells
             and "\0" not in cells
             and _blank_free(cells)
+            and (cells.isascii() or not _ESCAPED_BYTE.search(cells))
         ):
             return block, read
         narrow.append(cells)
@@ -357,14 +335,29 @@ def _blank_free(text: str) -> bool:
     return text.split(None, 1) == [text]
 
 
-def _utf8_lines(fh: Iterable[str], path: str) -> Iterator[str]:
+def _utf8_lines(lines: Iterable[str], path: str, number: int) -> Iterator[str]:
     """The lines of a file opened with errors="surrogateescape", which
     decodes each byte that is not UTF-8 to a code point in U+DC80..U+DCFF;
-    a DataError at the first line that holds one."""
-    for number, line in enumerate(fh, 1):
+    a DataError at the first line that holds one. number is the count of
+    the file's lines before the first."""
+    for number, line in enumerate(lines, number + 1):
         if _ESCAPED_BYTE.search(line):
             raise DataError(f"{path}: line {number}: bytes that are not UTF-8")
         yield line
+
+
+def _utf8_blocks(lines: Iterator[str], path: str, number: int) -> Iterator[str]:
+    """_utf8_lines(lines, path, number), checked READ_BLOCK lines at a time:
+    str.isascii passes most blocks, the pattern the rest, and only a block
+    that holds an escaped byte is checked, and yielded, line by line, so
+    that the lines before the bad one are still read first."""
+    while block := list(islice(lines, READ_BLOCK)):
+        text = "".join(block)
+        if not text.isascii() and _ESCAPED_BYTE.search(text):
+            # Raises at the first line that holds one.
+            yield from _utf8_lines(block, path, number)
+        yield from block
+        number += len(block)
 
 
 def infer_schema(table: Table, label_column: str) -> dict[str, str]:

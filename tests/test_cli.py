@@ -255,6 +255,17 @@ def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, capsys):
         tmp_path / "plain-predictions.csv").read_bytes()
 
 
+def test_duplicate_column_names_are_named(tmp_path, capsys):
+    # Header cells are stripped, so " a " repeats "a".
+    data_csv = tmp_path / "data.csv"
+    data_csv.write_text("a, a ,y\n1,0,1\n0,1,0\n")
+    rc = run(["train", "--data", str(data_csv), "--labels-column", "y",
+              "--model", str(tmp_path / "model.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: duplicate column names: ['a']\n"
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_train_and_predict_with_thresholds_beyond_six_digits(tmp_path, capsys):
     # Six significant digits would name the cuts 1234567 and 1234571 alike.
     data_csv = tmp_path / "data.csv"

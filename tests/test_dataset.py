@@ -172,7 +172,8 @@ def test_binarize_rejects_non_binary_labels():
 def test_binarize_question_mark_is_a_category():
     rows = [["?", "1"], ["a", "0"]]
     table = make_table(["c", "y"], rows)
-    data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
+    with pytest.warns(UserWarning, match="2 duplicate binary feature"):
+        data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
     assert "c = ?" in data.feature_names()
 
 
@@ -192,7 +193,8 @@ def test_descriptor_test_matches_built_columns():
     rng = random.Random(9)
     rows = [[rng.choice("pq"), str(rng.uniform(0, 5)), str(rng.randrange(2))] for _ in range(30)]
     table = make_table(["c", "v", "y"], rows)
-    data = binarize(table, {"c": CATEGORICAL, "v": NUMERIC, "y": LABEL})
+    with pytest.warns(UserWarning, match="2 duplicate binary feature"):
+        data = binarize(table, {"c": CATEGORICAL, "v": NUMERIC, "y": LABEL})
     for j, desc in enumerate(data.descriptors):
         col = table.columns[desc.source_column]
         for i in range(data.n):
@@ -219,7 +221,8 @@ def test_apply_descriptors_roundtrip_on_row_subset():
 
 def test_apply_descriptors_without_labels_gives_zero_labels():
     table = make_table(["c", "y"], [["a", "1"], ["b", "0"]])
-    data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
+    with pytest.warns(UserWarning, match="2 duplicate binary feature"):
+        data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
     unlabeled = Table(names=["c"], columns=[table.columns[0]])
     out = apply_descriptors(unlabeled, data.descriptors)
     assert out.labels == 0
@@ -422,7 +425,8 @@ def test_descriptors_reject_operands_that_match_no_cell():
 
 def test_binary_dataset_row_bits():
     table = make_table(["c", "y"], [["a", "1"], ["b", "0"], ["a", "0"]])
-    data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
+    with pytest.warns(UserWarning, match="2 duplicate binary feature"):
+        data = binarize(table, {"c": CATEGORICAL, "y": LABEL})
     assert data.feature_names() == ["c = a", "c != a", "c = b", "c != b"]
     rows = [[(c >> i) & 1 for c in data.columns] for i in range(data.n)]
     assert rows == [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1]]

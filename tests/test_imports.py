@@ -1,13 +1,15 @@
 """Every name a module of the package imports is used in that module, and
-every private function or method it defines is referenced in it.
+every private function, method, class or constant it defines is referenced
+in it.
 
 No linter ships with the project, so these checks read each module's syntax
 tree with the standard ast module. A name counts as used when the module
 reads it anywhere, annotations (quoted ones too) and TYPE_CHECKING blocks
-included, or lists it in __all__; a private function or method also counts
-as referenced when the module reads an attribute of that name.
-`from __future__` imports and dunder methods are exempt. A helper left
-behind when the path that called it is deleted fails the second check.
+included, or lists it in __all__; assigning it is not a use. A private
+function or method also counts as referenced when the module reads an
+attribute of that name. `from __future__` imports and dunder names are
+exempt. A helper, class or constant left behind when the path that used it
+is deleted fails the second or third check.
 """
 
 import ast
@@ -38,7 +40,10 @@ def annotations(tree: ast.AST):
 
 
 def used_names(tree: ast.AST) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for note in annotations(tree):
         if isinstance(note, ast.Constant) and isinstance(note.value, str):
             used |= used_names(ast.parse(note.value, mode="eval"))
@@ -72,6 +77,31 @@ def private_functions(tree: ast.Module) -> dict[str, int]:
     return defs
 
 
+def private_constants_and_classes(tree: ast.Module) -> dict[str, int]:
+    """Each private class, and each private name a plain assignment binds,
+    at module level, mapped to its line."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defs.setdefault(name, node.lineno)
+    return defs
+
+
+def unreferenced_private_constants_and_classes(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [f"line {line}: {name}" for name, line in private_constants_and_classes(tree).items()
+            if name not in used]
+
+
 def unreferenced_private_functions(source: str) -> list[str]:
     tree = ast.parse(source)
     used = used_names(tree) | {
@@ -97,6 +127,10 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_private_function_and_method_is_referenced_in_its_module():
     assert findings(unreferenced_private_functions) == {}
+
+
+def test_every_private_constant_and_class_is_referenced_in_its_module():
+    assert findings(unreferenced_private_constants_and_classes) == {}
 
 
 def test_the_check_finds_an_unused_import():
@@ -139,3 +173,26 @@ def test_the_check_finds_an_unreferenced_private_function():
         "    return _Hook()._size\n"
     )
     assert unreferenced_private_functions(source) == ["line 4: _orphan", "line 13: _stale"]
+
+
+def test_the_check_finds_an_unreferenced_private_constant_or_class():
+    source = (
+        "import re\n"
+        "_PATTERN = re.compile('x')\n"
+        "_STALE = 3\n"
+        "_LIMIT: int = 4\n"
+        "_WIDTH: int = 5\n"
+        "__all__ = ['public']\n"
+        "class _Used:\n"
+        "    _UNUSED_ATTRIBUTE = 1\n"
+        "class _Orphan:\n"
+        "    pass\n"
+        "_STALE = 6\n"
+        "def public(x: '_Used') -> int:\n"
+        "    _local = _PATTERN.search(x)\n"
+        "    return _WIDTH if _local else public._LIMIT\n"
+    )
+    # Assigning a name again, or reading an attribute of its name, is not a
+    # use; a class's own attributes and a function's locals are not checked.
+    assert unreferenced_private_constants_and_classes(source) == [
+        "line 3: _STALE", "line 4: _LIMIT", "line 9: _Orphan"]

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -239,6 +240,36 @@ def test_a_stream_aborted_in_block_2_closes_its_file_before_the_reread(
     assert streamed(tmp_path, capsys, data_csv, models["mixed"], "y") == (
         2, "", "error: v: non-numeric value 'abc'\n", None)
     assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "narrow"])
+def test_a_file_with_bytes_that_are_not_utf8_is_opened_once_per_read(
+    tmp_path, capsys, models, monkeypatch, kind
+):
+    make = mixed_rows if kind == "mixed" else narrow_rows
+    header = ["c", "v", "b", "y"] if kind == "mixed" else ["a", "b", "c", "y"]
+    data_csv = tmp_path / "serve.csv"
+    write_rows(data_csv, header, make(300, random.Random(7)))
+    lines = data_csv.read_bytes().split(b"\n")
+    lines[150] = lines[150][:-1] + b"\xff"
+    data_csv.write_bytes(b"\n".join(lines))
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(rulecover.dataset, "open", spy_open, raising=False)
+    error = f"{data_csv}: line 151: bytes that are not UTF-8"
+    with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+        Table.read_csv(str(data_csv))
+    assert opened == [str(data_csv)]
+    # The stream fails in its first block, and the whole-file read that
+    # names the file's first error opens it once more.
+    opened.clear()
+    assert streamed(tmp_path, capsys, data_csv, models[kind], "y") == (
+        2, "", f"error: {error}\n", None)
+    assert opened == [str(data_csv)] * 2
 
 
 # Memory ------------------------------------------------------------------

@@ -14,7 +14,9 @@ otherwise.
 
 import csv
 import random
+import re
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -551,13 +553,21 @@ def test_an_unreadable_line_after_narrow_blocks_names_its_line(tmp_path, at):
 
 
 @pytest.mark.parametrize("at", [B - 1, B, 2 * B + 1])
-def test_bytes_that_are_not_utf8_after_narrow_blocks(tmp_path, at):
+def test_bytes_that_are_not_utf8_after_narrow_blocks(tmp_path, monkeypatch, at):
     lines = [line.encode() for line in line_rows(3 * B)]
     lines[at] = b"x,\xff,c"
     path = tmp_path / "t.csv"
     path.write_bytes(b"\r\n".join([b"a,b,c"] + lines) + b"\r\n")
+    parsed = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines: reader(counting(lines, parsed)))
     assert outcome(Table.read_csv, str(path)) == (
         DataError, f"{path}: line {at + 2}: bytes that are not UTF-8")
+    # The blocks before the bad one are read as raw lines: the csv module
+    # parses the header, then the bad block's lines up to the bad one.
+    start = at - at % B
+    assert parsed == [f"{line}\r\n" for line in ["a,b,c"] + line_rows(3 * B)[start:at]]
+    monkeypatch.undo()
     # A ragged row before them is reported first.
     lines[at - 1] = b"x,y"
     path.write_bytes(b"\r\n".join([b"a,b,c"] + lines) + b"\r\n")
@@ -605,10 +615,9 @@ def test_equal_cells_of_a_repeating_column_are_one_object(tmp_path, lines):
 
 @pytest.mark.parametrize("rows", [B, 3 * B + 1])
 def test_blocks_share_cells_as_a_whole_read_does(tmp_path, rows):
-    # The dicts of a read in blocks run on from block to block: a repeating
-    # column is one object per category across all blocks, and a column of
-    # distinct cells stops sharing after SHARE_AFTER of them, as in a whole
-    # read.
+    # Each block is a whole read of its own rows: a repeating column is one
+    # object per category within the block, and the joined blocks hold the
+    # cells of a whole read.
     n = 4 * SHARE_AFTER + 7
     lines = [f"v{i % 5}, {i * 0.37:.2f},w{i % 40}" for i in range(n)]
     path = tmp_path / "t.csv"
@@ -617,9 +626,10 @@ def test_blocks_share_cells_as_a_whole_read_does(tmp_path, rows):
     assert not any(map(is_narrow, blocks))
     joined = Table(["a", "b", "c"], [[x for t in blocks for x in t.columns[j]] for j in range(3)])
     assert joined == Table.read_csv(str(path))
-    assert len(set(map(id, joined.columns[0]))) == 5
-    assert len(set(map(id, joined.columns[2]))) == 40
-    assert len(set(map(id, joined.columns[1]))) == n
+    for t in blocks:
+        assert shared_cells(t)
+        assert len(set(map(id, t.columns[0]))) == 5
+        assert len(set(map(id, t.columns[2]))) == len(set(t.columns[2]))
 
 
 @pytest.mark.parametrize("turn", [0, B - 1, 2 * B, 5 * B + 3])
@@ -647,14 +657,15 @@ def test_a_narrow_file_of_whole_blocks_yields_no_empty_block(tmp_path):
         (["a", "b", "c"], 0)]
 
 
-def test_read_blocks_raises_the_decode_error_that_read_csv_turns_to_a_line(tmp_path):
-    # Strict decoding raises UnicodeDecodeError, which names no line;
-    # read_csv reads again to name it.
+def test_read_blocks_raises_the_line_of_bytes_that_are_not_utf8(tmp_path):
+    # read_blocks names the line itself, after yielding the blocks before it.
     lines = [line.encode() for line in line_rows(3 * B)]
     lines[2 * B] = b"x,\xff,c"
     path = tmp_path / "t.csv"
     path.write_bytes(b"\r\n".join([b"a,b,c"] + lines) + b"\r\n")
-    with pytest.raises(UnicodeDecodeError):
-        list(Table.read_blocks(str(path), B))
-    assert outcome(Table.read_csv, str(path)) == (
-        DataError, f"{path}: line {2 * B + 2}: bytes that are not UTF-8")
+    blocks = Table.read_blocks(str(path), B)
+    assert [t.n for t in islice(blocks, 2)] == [B, B]
+    error = f"{path}: line {2 * B + 2}: bytes that are not UTF-8"
+    with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+        next(blocks)
+    assert outcome(Table.read_csv, str(path)) == (DataError, error)
